@@ -331,7 +331,7 @@ def _survey_cell(cell: tuple[int, int]) -> SurveyRow:
     t, n = cell
     od = order_disc(CharPoly(t, n))
     h_field = class_count(od.D0, EquivMode.IMPROPER)
-    h_order = class_count(od.D, EquivMode.IMPROPER)
+    h_order = class_count(od, EquivMode.IMPROPER)
     return SurveyRow(
         t=t,
         n=n,
@@ -388,7 +388,8 @@ def _cmd_survey(args) -> str:
 _MATRIX_HELP = 'matrix as "a b; c d" (commas optional) or JSON [[a,b],[c,d]]'
 _LIMITS = (
     "Discriminants are factored by trial division (fine to |D| ~ 1e12); "
-    "class enumeration is practical to |D| ~ 1e7."
+    "class enumeration takes under 1 s to about |D| ~ 2e9 (D > 0) and 5e10 "
+    "(D < 0), and under 10 s to about 1e11 (D > 0) and 1e12 (D < 0)."
 )
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .errors import DiscriminantMismatch, ImprimitiveForm, SolgenusError
 from .matrices import IntMat2, is_square
-from .orders import OrderDisc, disc_from_int
+from .orders import OrderDisc, disc_from_int, primes_up_to, sqrt_mod_prime
 
 _SWAP = IntMat2(0, -1, 1, 0)  # q -> (c, -b, a)
 _FLIP = IntMat2(1, 0, 0, -1)  # det -1 reflection
@@ -158,31 +158,37 @@ def _is_reduced_indefinite(f: tuple[int, int, int], D: int) -> bool:
     return True
 
 
-def _rho_raw(f: tuple[int, int, int], D: int) -> tuple[tuple[int, int, int], IntMat2]:
-    """One neighboring step; returns the new form and its SL2 transformation."""
+def _rho_raw(f: tuple[int, int, int], D: int, s: int) -> tuple[int, int, int]:
+    """One neighboring step f = (a, b, c) -> (c, r, (r^2 - D)/4c); s = isqrt(D)."""
     _, b, c = f
     mmod = 2 * abs(c)
-    s = math.isqrt(D)
     if abs(c) > s:
         r = (-b) % mmod
         if r > abs(c):
             r -= mmod
     else:
         r = s - ((s + b) % mmod)
-    new = (c, r, (r * r - D) // (4 * c))
-    step = IntMat2(0, -1, 1, (b + r) // (2 * c))
-    return new, step
+    return (c, r, (r * r - D) // (4 * c))
+
+
+def _rho_matrix(f: tuple[int, int, int], g: tuple[int, int, int]) -> IntMat2:
+    """The SL2 transformation of the step from f to its neighbor g = _rho_raw(f)."""
+    return IntMat2(0, -1, 1, (f[1] + g[1]) // (2 * g[0]))
+
+
+_REDUCTION_STEPS = 10_000
 
 
 def _reduce_indefinite(f: tuple[int, int, int], D: int) -> tuple[tuple[int, int, int], IntMat2]:
+    s = math.isqrt(D)
     u = IntMat2.identity()
-    guard = 0
-    while not _is_reduced_indefinite(f, D):
-        f, step = _rho_raw(f, D)
-        u = u * step
-        guard += 1
-        assert guard < 10_000, "indefinite reduction failed to terminate"
-    return f, u
+    for _ in range(_REDUCTION_STEPS):
+        if _is_reduced_indefinite(f, D):
+            return f, u
+        g = _rho_raw(f, D, s)
+        u = u * _rho_matrix(f, g)
+        f = g
+    raise SolgenusError(f"indefinite reduction of disc {D} did not finish in {_REDUCTION_STEPS} steps")
 
 
 def rho_step(q: BQForm) -> BQForm:
@@ -190,21 +196,20 @@ def rho_step(q: BQForm) -> BQForm:
     D = q.disc
     if D <= 0:
         raise SolgenusError("rho step requires positive nonsquare discriminant")
-    f, _ = _rho_raw(q.triple(), D)
-    return BQForm(*f)
+    return BQForm(*_rho_raw(q.triple(), D, math.isqrt(D)))
 
 
-def _cycle_raw(start: tuple[int, int, int], D: int) -> list[tuple[int, int, int]]:
-    """Full rho-cycle through the reduction of ``start``."""
-    f, _ = _reduce_indefinite(start, D)
-    first = f
-    out = [f]
-    while True:
-        f, _ = _rho_raw(f, D)
-        if f == first:
-            return out
+def _cycle_raw(first: tuple[int, int, int], D: int, cap: int) -> list[tuple[int, int, int]]:
+    """The rho-cycle of the reduced form ``first``, which has at most ``cap`` forms."""
+    s = math.isqrt(D)
+    out = [first]
+    f = _rho_raw(first, D, s)
+    while f != first:
+        if len(out) == cap:
+            raise SolgenusError(f"cycle of {first} in disc {D} is longer than {cap} forms")
         out.append(f)
-        assert len(out) < 100_000, "runaway cycle"
+        f = _rho_raw(f, D, s)
+    return out
 
 
 def cycle(q: BQForm) -> list[BQForm]:
@@ -212,7 +217,8 @@ def cycle(q: BQForm) -> list[BQForm]:
     D = q.disc
     if D <= 0:
         raise SolgenusError("cycles exist only for positive nonsquare discriminant")
-    return [BQForm(*f) for f in _cycle_raw(q.triple(), D)]
+    f, _ = _reduce_indefinite(q.triple(), D)
+    return [BQForm(*g) for g in _cycle_raw(f, D, len(_reduced_forms(D)))]
 
 
 # ---------------------------------------------------------------------------
@@ -220,44 +226,83 @@ def cycle(q: BQForm) -> list[BQForm]:
 # ---------------------------------------------------------------------------
 
 
-def _reduced_definite_forms(D: int) -> list[tuple[int, int, int]]:
-    out = []
-    amax = math.isqrt(abs(D) // 3)
-    for a in range(1, amax + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2 != 0 or (b * b - D) % (4 * a) != 0:
-                continue
-            c = (b * b - D) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            out.append((a, b, c))
-    return sorted(out)
+def _factor_table(D: int, bs: range) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """Factor m_b = |b^2 - D|/4 for every b in ``bs`` (step 2, b = D mod 2) at once.
 
-
-def _reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
-    out = []
-    for b in range(1, math.isqrt(D) + 1):
-        if (D - b) % 2 != 0:
+    Returns, per index k of b = bs[k], the prime powers (p, e) of m_b with
+    p <= sqrt(max m_b), and the cofactor left over, which is 1 or a prime.
+    An odd p divides m_b exactly when b^2 = D (mod p), so the indices k it
+    divides are one or two progressions of step p, found from the square
+    roots of D mod p (Cohen, GTM 138, 1.5.1).
+    """
+    rem = [abs(b * b - D) // 4 for b in bs]
+    n, plimit = len(rem), math.isqrt(max(rem))
+    fac: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, x in enumerate(rem):
+        if not x & 1:
+            e = (x & -x).bit_length() - 1
+            fac[k].append((2, e))
+            rem[k] = x >> e
+    b0 = bs.start
+    for p in primes_up_to(plimit)[1:]:
+        r = sqrt_mod_prime(D, p)
+        if r is None:
             continue
-        m = (D - b * b) // 4  # = |a*c|, positive
-        for aa in range(1, math.isqrt(m) + 1):
-            if m % aa:
-                continue
-            for av in {aa, m // aa}:
-                ta = 2 * av
-                if D >= (ta + b) ** 2:
-                    continue
-                if ta - b >= 0 and (ta - b) ** 2 >= D:
-                    continue
-                cv = m // av
-                for a, c in ((av, -cv), (-av, cv)):
+        for root in (r, p - r) if r else (0,):
+            # b0 + 2k = root (mod p); (p + 1) // 2 inverts 2 mod p
+            for k in range((root - b0) * ((p + 1) // 2) % p, n, p):
+                x, e = rem[k] // p, 1
+                while not x % p:
+                    x //= p
+                    e += 1
+                rem[k] = x
+                fac[k].append((p, e))
+    return fac, rem
+
+
+def _reduced_forms(D: int) -> list[tuple[int, int, int]]:
+    """All reduced primitive forms of discriminant D, sorted.
+
+    D < 0: positive definite forms with |b| <= a <= c, and b >= 0 if |b| = a
+    or a = c.  D > 0: forms with 0 < b < sqrt(D) and sqrt(D) - b < 2|a| <
+    sqrt(D) + b.  Either way |a*c| = m_b = |b^2 - D|/4, so the forms with
+    middle coefficient +-b are read off the divisors of m_b, for b = D mod 2
+    with 0 < b < sqrt(D), resp. 0 <= b <= sqrt(|D|/3).
+    """
+    if D > 0:
+        s = math.isqrt(D)
+        bs = range(2 - D % 2, s + 1, 2)
+    else:
+        bs = range(D % 2, math.isqrt(-D // 3) + 1, 2)
+    fac, cofactor = _factor_table(D, bs)
+    out = []
+    for b, pes, rest in zip(bs, fac, cofactor):
+        m = abs(b * b - D) // 4
+        divs = [1]
+        for p, e in pes:
+            pk = divs
+            for _ in range(e):
+                pk = [d * p for d in pk]
+                divs.extend(pk)
+        if rest > 1:
+            divs.extend([d * rest for d in divs])
+        if D > 0:
+            # sqrt(D) - b < 2a < sqrt(D) + b, in integers since D is not a square
+            for a in divs:
+                if s - b < 2 * a <= s + b:
+                    c = m // a
+                    if math.gcd(math.gcd(a, b), c) == 1:
+                        out.append((a, b, -c))
+                        out.append((-a, b, c))
+        else:
+            for a in divs:
+                if b <= a and a * a <= m:
+                    c = m // a
                     if math.gcd(math.gcd(a, b), c) == 1:
                         out.append((a, b, c))
-    return sorted(set(out))
+                        if 0 < b < a < c:
+                            out.append((a, -b, c))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -288,25 +333,27 @@ class FormClassSet:
 
 
 @lru_cache(maxsize=None)
-def _class_set_cached(D: int, mode: EquivMode) -> FormClassSet:
-    od = disc_from_int(D)
+def _class_set_cached(od: OrderDisc, mode: EquivMode) -> FormClassSet:
+    D = od.D
+    reduced = _reduced_forms(D)
     if D < 0:
         # each reduced positive definite form is one proper class; the twisted
         # det -1 action leaves the positive definite carrier, so improper
         # classes coincide with proper ones
-        classes = [frozenset([f]) for f in _reduced_definite_forms(D)]
+        classes = [frozenset([f]) for f in reduced]
     else:
-        reduced = _reduced_indefinite_forms(D)
         cycle_of: dict[tuple[int, int, int], int] = {}
         cycles: list[list[tuple[int, int, int]]] = []
         for f in reduced:
             if f in cycle_of:
                 continue
-            cyc = _cycle_raw(f, D)
+            # rho permutes the reduced forms, so no cycle is longer than their count
+            cyc = _cycle_raw(f, D, len(reduced))
             for g in cyc:
                 cycle_of[g] = len(cycles)
             cycles.append(cyc)
-        assert sorted(cycle_of) == reduced, "cycle partition must exhaust reduced forms"
+        if cycle_of.keys() != set(reduced):
+            raise SolgenusError(f"the rho-cycles of disc {D} do not partition its reduced forms")
         if mode is EquivMode.PROPER:
             classes = [frozenset(c) for c in cycles]
         else:
@@ -327,10 +374,8 @@ def _class_set_cached(D: int, mode: EquivMode) -> FormClassSet:
 
 def class_set(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> FormClassSet:
     """All classes of primitive forms of the given discriminant under ``mode``."""
-    D = disc.D if isinstance(disc, OrderDisc) else int(disc)
-    if not isinstance(disc, OrderDisc):
-        disc_from_int(D)  # validation
-    return _class_set_cached(D, mode)
+    od = disc if isinstance(disc, OrderDisc) else disc_from_int(int(disc))
+    return _class_set_cached(od, mode)
 
 
 def class_count(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> int:
@@ -352,13 +397,15 @@ def _equiv_proper(f1: tuple[int, int, int], f2: tuple[int, int, int], D: int) ->
         return u1 * u2.inverse()
     r1, u1 = _reduce_indefinite(f1, D)
     r2, u2 = _reduce_indefinite(f2, D)
+    s = math.isqrt(D)
     w = IntMat2.identity()
     f = r1
     while True:
         if f == r2:
             return u1 * w * u2.inverse()
-        f, step = _rho_raw(f, D)
-        w = w * step
+        g = _rho_raw(f, D, s)
+        w = w * _rho_matrix(f, g)
+        f = g
         if f == r1:
             return None
 

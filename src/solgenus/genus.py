@@ -165,7 +165,7 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
 
     od = order_disc(p)
     h_field = class_count(od.D0, EquivMode.IMPROPER)
-    h_order = class_count(od.D, EquivMode.IMPROPER)
+    h_order = class_count(od, EquivMode.IMPROPER)
     reps = lm_representatives(p)
     evidence = None if evidence_level == "none" else _pair_evidence(reps, evidence_level)
     return GenusReport(

@@ -100,6 +100,6 @@ def lm_representatives(p: CharPoly) -> LMSet:
         if rank == 0:
             reps.append(companion(p))
         else:
-            reps.append(multiplication_matrix(form_to_ideal(q), p))
+            reps.append(multiplication_matrix(IdealRep(abs(q.a), q.b, od), p))
         forms.append(q)
     return LMSet(p, tuple(reps), tuple(forms))

@@ -8,11 +8,60 @@ fundamental discriminant, the conductor, and lam itself as a unit.
 """
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSpectrum
 from .matrices import CharPoly, is_square
+
+# primes up to _prime_limit, grown on demand by primes_up_to and kept for reuse
+_primes: list[int] = []
+_prime_limit = 1
+
+
+def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, in increasing order (sieve of Eratosthenes)."""
+    global _primes, _prime_limit
+    if n > _prime_limit:
+        # at least double the table, so a run of growing requests sieves O(log n) times
+        limit = max(n, 2 * _prime_limit)
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        _primes = [p for p, is_prime in enumerate(sieve) if is_prime]
+        _prime_limit = limit
+    return _primes[: bisect.bisect_right(_primes, n)]
+
+
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """Some r with r^2 = n (mod p) for an odd prime p, or None (Tonelli-Shanks)."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(n, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def square_free_decompose(m: int) -> tuple[int, int]:

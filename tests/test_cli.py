@@ -228,3 +228,15 @@ def test_big_int_json_policy(capsys):
     data = json.loads(out)
     assert data["matrix"][1][0] == str(big)  # decimal string beyond 2^53
     assert data["matrix"][0][0] == 1  # small ints stay numeric
+
+
+def test_classnumber_enumeration_failure_exit_one(capsys, monkeypatch):
+    # a reduced-form list that misses a form must fail as a domain error
+    from solgenus import forms
+
+    full = forms._reduced_forms(1_000_009)
+    monkeypatch.setattr(forms, "_reduced_forms", lambda D: full[1:])
+    forms._class_set_cached.cache_clear()
+    code, out, err = run_cli(capsys, "classnumber", "1000009")
+    forms._class_set_cached.cache_clear()
+    assert code == 1 and out == "" and "error" in err

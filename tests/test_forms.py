@@ -20,7 +20,11 @@ from solgenus import (
     rho_step,
 )
 
+import reference_forms
 from helpers import random_unimodular
+from solgenus import forms
+from solgenus.forms import _class_set_cached, _cycle_raw, _reduce_indefinite, _reduced_forms
+from solgenus.matrices import is_square
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -184,6 +188,51 @@ def test_class_set_mode_inequalities():
         imp = class_count(D, EquivMode.IMPROPER)
         pro = class_count(D, EquivMode.PROPER)
         assert imp <= pro <= 2 * imp
+
+
+def _valid_discriminants(lo, hi):
+    return [D for D in range(lo, hi + 1) if D != 0 and D % 4 in (0, 1) and not is_square(D)]
+
+
+def test_reduced_forms_match_reference_small():
+    discs = _valid_discriminants(-10_000, 10_000)
+    assert len(discs) == 9_900
+    for D in discs:
+        assert _reduced_forms(D) == reference_forms.reduced_forms(D), D
+
+
+@pytest.mark.parametrize("D", [80_000_001, -24_000_003])
+def test_reduced_forms_match_reference_large(D):
+    assert _reduced_forms(D) == reference_forms.reduced_forms(D)
+
+
+def test_class_count_long_cycles():
+    # two proper cycles of 124,770 reduced forms each, swapped by the twist
+    assert class_count(40_000_000_017, EquivMode.IMPROPER) == 1
+
+
+def test_cycle_cap_raises_domain_error():
+    f = _reduced_forms(40)[0]
+    assert len(_cycle_raw(f, 40, 6)) == 6
+    with pytest.raises(SolgenusError):
+        _cycle_raw(f, 40, 5)
+
+
+def test_class_set_rejects_incomplete_enumeration(monkeypatch):
+    # dropping one reduced form breaks the cycle cap or the partition check
+    for D in (40, 1_000_009):
+        full = _reduced_forms(D)
+        monkeypatch.setattr(forms, "_reduced_forms", lambda D, full=full: full[1:])
+        _class_set_cached.cache_clear()
+        with pytest.raises(SolgenusError):
+            class_set(D, EquivMode.PROPER)
+    _class_set_cached.cache_clear()
+
+
+def test_reduction_guard_raises_domain_error(monkeypatch):
+    monkeypatch.setattr(forms, "_REDUCTION_STEPS", 1)
+    with pytest.raises(SolgenusError):
+        _reduce_indefinite((1, 0, -10), 40)
 
 
 def test_class_set_reps_are_reduced_and_distinct():

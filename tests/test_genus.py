@@ -158,3 +158,27 @@ def test_full_evidence_sweep_conductor_one():
                 assert pair.gl2z_witness is None
                 assert pair.brute.witness is None and pair.brute.bound == 50
                 assert pair.modular.consistent and pair.modular.m_max == 30
+
+
+def test_genus_factors_discriminant_a_fixed_number_of_times(monkeypatch):
+    import solgenus.forms
+    import solgenus.genus
+    import solgenus.ideals
+    import solgenus.orders
+    from solgenus.forms import _class_set_cached
+
+    calls = []
+    original = solgenus.orders.disc_from_int
+
+    def counted(D):
+        calls.append(D)
+        return original(D)
+
+    for module in (solgenus.orders, solgenus.forms, solgenus.ideals, solgenus.genus):
+        if hasattr(module, "disc_from_int"):
+            monkeypatch.setattr(module, "disc_from_int", counted)
+    _class_set_cached.cache_clear()
+    report = genus(mat(0, 1, 1, 100), evidence_level="none")
+    assert report.h_order == 12 and report.representatives.count == 12
+    # once for the report's order, once for the field, once for the representatives
+    assert len(calls) <= 3

@@ -130,3 +130,31 @@ def test_subring_index_equals_conductor():
             if d == 0 or (d > 0 and is_square(d)):
                 continue
             assert subring_index(CharPoly(t, n)) == order_disc(CharPoly(t, n)).f, (t, n)
+
+
+def test_primes_up_to_matches_trial_division_and_grows():
+    from solgenus.orders import primes_up_to
+
+    def is_prime(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    for n in (0, 1, 2, 3, 10, 97, 100, 1000, 30, 5000):  # shrinking and growing requests
+        assert primes_up_to(n) == [p for p in range(n + 1) if is_prime(p)]
+
+
+def test_sqrt_mod_prime_exhaustive_small():
+    from solgenus.orders import primes_up_to, sqrt_mod_prime
+
+    for p in primes_up_to(300)[1:]:
+        squares = {x * x % p for x in range(p)}
+        for n in range(-p, 2 * p):
+            r = sqrt_mod_prime(n, p)
+            if n % p in squares:
+                assert r is not None and 0 <= r < p and (r * r - n) % p == 0
+            else:
+                assert r is None
+    # p = 1 mod 2^k for large k exercises the Tonelli-Shanks loop
+    p = 7 * 2**26 + 1
+    for n in (2, 3, 10, 12345, p - 1):
+        r = sqrt_mod_prime(n, p)
+        assert r is None or (r * r - n) % p == 0
