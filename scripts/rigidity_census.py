@@ -8,7 +8,7 @@ field-level class numbers disagree, which only happens at conductor > 1.
 import argparse
 from collections import Counter
 
-from solgenus.cli import survey_rows
+from solgenus.genus import survey_rows
 
 
 def main() -> None:

@@ -33,12 +33,9 @@ from .forms import (
 )
 from .genus import (
     GenusReport,
-    Rigidity,
     TheoremBranch,
-    corollary1_check,
     genus,
     presentation,
-    rigidity_verdict,
 )
 from .ideals import IdealRep, LMSet, companion, form_to_ideal, lm_representatives, multiplication_matrix
 from .matrices import (
@@ -50,21 +47,16 @@ from .matrices import (
     format_matrix,
     geometry,
     is_hyperbolic,
-    mat_inv,
-    mat_mul,
     matrix_order,
     parse_matrix,
     spectrum_class,
 )
 from .orders import (
     OrderDisc,
-    QuadElement,
-    UnitElement,
     disc_from_int,
-    eigenvalue_unit,
+    factor,
     order_disc,
     square_free_decompose,
-    subring_index,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ Output formats are byte-stable for fixed inputs and flags.  Integers whose
 magnitude exceeds 2^53 - 1 are emitted as decimal strings in JSON so that
 double-precision consumers never lose digits.
 
-Environment: SOLGENUS_WORKERS shards the survey over a process pool;
-SOLGENUS_COLOR enables ANSI color in table output.
+Environment: SOLGENUS_COLOR enables ANSI color in table output;
+SOLGENUS_WORKERS shards the survey (see :func:`solgenus.genus.survey_rows`).
 """
 from __future__ import annotations
 
@@ -15,16 +15,14 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from .conjugacy import are_conjugate_gl2z, are_conjugate_mod_m
 from .errors import SolgenusError
-from .forms import EquivMode, class_count, class_set
-from .genus import GenusReport, TheoremBranch, branch_of, genus
+from .forms import EquivMode, class_set
+from .genus import GenusReport, TheoremBranch, branch_of, genus, survey_rows
 from .ideals import lm_representatives
-from .matrices import CharPoly, GeometryLabel, IntMat2, char_poly, geometry, matrix_order, parse_matrix, spectrum_class
-from .orders import disc_from_int, order_disc
+from .matrices import CharPoly, IntMat2, char_poly, geometry, matrix_order, parse_matrix, spectrum_class
+from .orders import disc_from_int
 
 _BIG = 2**53 - 1
 
@@ -117,7 +115,8 @@ def genus_report_dict(r: GenusReport) -> dict:
             {"matrix": _mat(m), "form": list(f.triple())}
             for m, f in zip(r.representatives.reps, r.representatives.forms)
         ]
-        assert reps, "a genus report must carry at least one representative"
+        if not reps:
+            raise SolgenusError("a genus report must carry at least one representative")
     canonical = None
     if r.canonical is not None:
         canonical = {"target": _mat(r.canonical.target), "conjugator": _mat(r.canonical.conjugator)}
@@ -194,8 +193,8 @@ def _cmd_enumerate(args) -> str:
         p = CharPoly(args.trace, args.det)
     else:
         raise SolgenusError("provide a matrix or both --trace and --det")
-    od = order_disc(p)
     reps = lm_representatives(p)
+    od = reps.disc
     report = {
         "trace": p.t,
         "det": p.n,
@@ -309,71 +308,8 @@ def _cmd_canonical(args) -> str:
 SURVEY_FIELDS = ["t", "n", "D", "D0", "f", "geometry", "branch", "h_field", "h_order", "genus", "rigid"]
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    t: int
-    n: int
-    D: int
-    D0: int
-    f: int
-    geometry: str
-    branch: str
-    h_field: int
-    h_order: int
-    genus: int
-    rigid: bool
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in SURVEY_FIELDS}
-
-
-def _survey_cell(cell: tuple[int, int]) -> SurveyRow:
-    t, n = cell
-    od = order_disc(CharPoly(t, n))
-    h_field = class_count(od.D0, EquivMode.IMPROPER)
-    h_order = class_count(od, EquivMode.IMPROPER)
-    return SurveyRow(
-        t=t,
-        n=n,
-        D=od.D,
-        D0=od.D0,
-        f=od.f,
-        geometry=GeometryLabel.SOL.value,
-        branch=TheoremBranch.MAIN_QUADRATIC.value,
-        h_field=h_field,
-        h_order=h_order,
-        genus=h_field,
-        rigid=(h_field == 1),
-    )
-
-
-def survey_rows(tmax: int, det: str = "both") -> list[SurveyRow]:
-    """One row per (t, n) cell with hyperbolic real spectrum (D > 0 nonsquare).
-
-    These are exactly the Sol cells; cells with degenerate or complex spectrum
-    are skipped because the genus data there does not depend on (t, n) alone.
-    """
-    from .matrices import is_square
-
-    dets = {"both": (-1, 1), "1": (1,), "-1": (-1,)}[det]
-    cells = [
-        (t, n)
-        for t in range(-tmax, tmax + 1)
-        for n in dets
-        if (d := t * t - 4 * n) > 0 and not is_square(d)
-    ]
-    cells.sort()
-    workers = int(os.environ.get("SOLGENUS_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_survey_cell, cells))
-    else:
-        rows = [_survey_cell(c) for c in cells]
-    return rows
-
-
 def _cmd_survey(args) -> str:
-    rows = [r.as_dict() for r in survey_rows(args.tmax, args.det)]
+    rows = [{f: getattr(r, f) for f in SURVEY_FIELDS} for r in survey_rows(args.tmax, args.det)]
     if args.format == "csv":
         return render_rows_csv(rows, SURVEY_FIELDS)
     if args.format == "table":

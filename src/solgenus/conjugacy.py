@@ -23,10 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSpectrum, SolgenusError
-from .forms import BQForm, _equiv_proper, _opposite
+from .forms import _FLIP, BQForm, _equiv_proper, _opposite
 from .matrices import IntMat2, char_poly, is_square
+from .orders import factor
 
-_FLIP = IntMat2(1, 0, 0, -1)
+# largest prime-power part q of a modulus that the GL2(Z/q) scan accepts: the
+# scan builds q^4-cell int64 grids, and q = 53 already peaks near 634 MB
+MAX_SCAN_PRIME_POWER = 53
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,8 @@ def matrix_to_form(m: IntMat2) -> BQForm:
 
 def _primitive_kernel_vector(m: IntMat2) -> tuple[int, int]:
     """Primitive generator of ker(m) for a nonzero singular 2x2 matrix."""
-    assert m.det() == 0
+    if m.det() != 0:
+        raise SolgenusError("kernel vector of a nonsingular matrix")
     if (m.a, m.b) != (0, 0):
         v = (-m.b, m.a)
     else:
@@ -124,7 +128,8 @@ def _primitive_kernel_vector(m: IntMat2) -> tuple[int, int]:
 def _canonical_repeated(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     """(C, P) with P*m*P^-1 = C = [[e, k], [0, e]], k = content(m - e*I) >= 0."""
     p = char_poly(m)
-    assert p.disc == 0
+    if p.disc != 0:
+        raise SolgenusError(f"{p} has no repeated eigenvalue")
     e = p.t // 2
     nil = IntMat2(m.a - e, m.b, m.c, m.d - e)
     g = _content(nil)
@@ -137,16 +142,17 @@ def _canonical_repeated(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     i = 0 if u[0] != 0 else 1
     row = (nil.a // g, nil.b // g) if i == 0 else (nil.c // g, nil.d // g)
     v = (row[0] // u[i], row[1] // u[i])
-    assert (nil.a, nil.b, nil.c, nil.d) == (
-        g * u[0] * v[0], g * u[0] * v[1], g * u[1] * v[0], g * u[1] * v[1]
-    )
+    if (nil.a, nil.b, nil.c, nil.d) != (g * u[0] * v[0], g * u[0] * v[1], g * u[1] * v[0], g * u[1] * v[1]):
+        raise SolgenusError(f"m - e*I of {m} is not of rank one")
     # w with v . w = 1 completes (u, w) to a basis in which nil/g is [[0,1],[0,0]]
     gg, x, y = _xgcd(v[0], v[1])
-    assert gg == 1
+    if gg != 1:
+        raise SolgenusError(f"row vector {v} is not primitive")
     q = IntMat2(u[0], x, u[1], y)
     pmat = q.inverse()
     canon = IntMat2(e, g, 0, e)
-    assert pmat * m == canon * pmat
+    if pmat * m != canon * pmat:
+        raise SolgenusError(f"shear normal form of {m} failed verification")
     return canon, pmat
 
 
@@ -159,9 +165,11 @@ def _canonical_involution(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     if abs(dt) == 1:
         pmat = q.inverse()
         canon = IntMat2(1, 0, 0, -1)
-        assert pmat * m == canon * pmat
+        if pmat * m != canon * pmat:
+            raise SolgenusError(f"involution normal form of {m} failed verification")
         return canon, pmat
-    assert abs(dt) == 2, "eigenline lattice has index 1 or 2"
+    if abs(dt) != 2:
+        raise SolgenusError(f"eigenline lattice of {m} has index {abs(dt)}, not 1 or 2")
     canon = IntMat2(0, 1, 1, 0)
     adj = IntMat2(q.d, -q.b, -q.c, q.a)
     for alpha, beta in ((1, 1), (1, -1)):
@@ -171,7 +179,7 @@ def _canonical_involution(m: IntMat2) -> tuple[IntMat2, IntMat2]:
         pmat = IntMat2(num.a // dt, num.b // dt, num.c // dt, num.d // dt)
         if pmat.det() in (1, -1) and pmat * m == canon * pmat:
             return canon, pmat
-    raise AssertionError("involution canonicalization failed")
+    raise SolgenusError(f"involution canonicalization of {m} failed")
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -203,7 +211,8 @@ def canonical_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     if p.t == 0 and p.n == 1:
         target = IntMat2(0, -1, 1, 0)
         w = are_conjugate_gl2z(m, target)
-        assert w is not None, "all det 1 trace 0 matrices share one class"
+        if w is None:
+            raise SolgenusError(f"{m} is not conjugate to the quarter-turn")
         return target, w.P
     raise DegenerateSpectrum(f"no canonical normal form implemented for {p}")
 
@@ -303,24 +312,6 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
 # ---------------------------------------------------------------------------
 
 
-def _prime_power_split(m: int) -> list[tuple[int, int]]:
-    """[(p^k, p), ...] for the prime factorization of m."""
-    out = []
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            q = 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            out.append((q, p))
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        out.append((rest, rest))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
     """First P (lex order) in GL2(Z/q) with P*A = B*P mod q; q = p^k."""
@@ -342,16 +333,24 @@ def _modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
 
 def _crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
     g, s, _ = _xgcd(m1, m2)
-    assert g == 1
+    if g != 1:
+        raise SolgenusError(f"moduli {m1} and {m2} are not coprime")
     return (x1 + (x2 - x1) * s % m2 * m1) % (m1 * m2)
 
 
 def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int) -> ModularWitness | None:
-    """Witness of conjugacy in GL2(Z/m), assembled prime power by prime power."""
+    """Witness of conjugacy in GL2(Z/m), assembled prime power by prime power.
+
+    Raises SolgenusError, before any scan, when a prime-power part of m
+    exceeds MAX_SCAN_PRIME_POWER.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
+    split = [(p**e, p) for p, e in factor(m)]
+    if max(q for q, _ in split) > MAX_SCAN_PRIME_POWER:
+        raise SolgenusError(f"modulus {m} has a prime-power part above {MAX_SCAN_PRIME_POWER}")
     parts = []
-    for q, p in _prime_power_split(m):
+    for q, p in split:
         am = tuple(x % q for x in _entries(a))
         bm = tuple(x % q for x in _entries(b))
         w = _modular_scan(am, bm, q, p)
@@ -363,7 +362,8 @@ def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int) -> ModularWitness | None
     for q, w in parts[1:]:
         ent = [_crt_pair(x, mod, y, q) for x, y in zip(ent, w)]
         mod *= q
-    assert mod == m
+    if mod != m:
+        raise SolgenusError(f"CRT assembled modulus {mod}, expected {m}")
     return ModularWitness(m, IntMat2(*ent), a, b)
 
 

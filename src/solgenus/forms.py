@@ -109,7 +109,8 @@ def _is_reduced_definite(f: tuple[int, int, int]) -> bool:
 def _reduce_definite(f: tuple[int, int, int]) -> tuple[tuple[int, int, int], IntMat2]:
     """Unique reduced representative plus U with f . U = reduced (det U = 1)."""
     a, b, c = f
-    assert a > 0, "definite reduction expects the positive representative"
+    if a <= 0:
+        raise SolgenusError(f"definite reduction of {f} expects the positive representative")
     u = IntMat2.identity()
     while True:
         if a > c:
@@ -329,7 +330,7 @@ class FormClassSet:
         for i, members in enumerate(self.class_members):
             if key in members:
                 return i
-        raise AssertionError(f"reduced form {key} missing from class set of {self.disc.D}")
+        raise SolgenusError(f"reduced form {key} missing from class set of {self.disc.D}")
 
 
 @lru_cache(maxsize=None)
@@ -424,6 +425,6 @@ def forms_equivalent(q1: BQForm, q2: BQForm, mode: EquivMode = EquivMode.IMPROPE
         m = _equiv_proper(_opposite(q1.triple()), q2.triple(), D)
         if m is not None:
             u = _FLIP * m
-    if u is not None:
-        assert q1.transform(u) == q2, "equivalence witness failed verification"
+    if u is not None and q1.transform(u) != q2:
+        raise SolgenusError(f"equivalence witness from {q1} to {q2} failed verification")
     return u

@@ -6,9 +6,15 @@ number of the field generated by an eigenvalue, with one conjugacy-class
 representative per form class of the order Z[lam].  When the conductor
 exceeds 1 the field-level and order-level class numbers can differ; both are
 reported and the discrepancy is flagged rather than silently resolved.
+
+The survey applies the same rule to every (trace, det) cell with Sol
+geometry.  Environment: SOLGENUS_WORKERS shards the survey over a process
+pool.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,8 +28,8 @@ from .conjugacy import (
     profinite_evidence,
 )
 from .forms import EquivMode, class_count
-from .ideals import LMSet, lm_representatives
-from .matrices import CharPoly, GeometryLabel, IntMat2, char_poly, geometry
+from .ideals import LMSet, companion, lm_representatives
+from .matrices import CharPoly, GeometryLabel, IntMat2, char_poly, geometry, is_square
 from .orders import OrderDisc, order_disc
 
 
@@ -32,11 +38,6 @@ class TheoremBranch(Enum):
     REPEATED_ONE = "RepeatedOne"
     REPEATED_MINUS_ONE = "RepeatedMinusOne"
     TRACE_ZERO = "TraceZero"
-
-
-class Rigidity(Enum):
-    RIGID = "Rigid"
-    NON_RIGID = "NonRigid"
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,45 @@ class CanonicalData:
 
 
 @dataclass(frozen=True)
-class GenusReport:
-    matrix: IntMat2
-    char: CharPoly
+class GenusCount:
+    """The class numbers that decide the genus, and the genus they give."""
+
     geometry: GeometryLabel
     branch: TheoremBranch
     disc: OrderDisc | None  # None when the characteristic polynomial is reducible
     h_field: int
     h_order: int
-    genus: int
-    discrepancy: bool
-    representatives: LMSet | None
-    canonical: CanonicalData | None
-    evidence: Evidence | None
-    presentation: str
+
+    @property
+    def genus(self) -> int:
+        """The class number of the field Q(lam); 1 when lam is rational."""
+        return self.h_field
 
     @property
     def rigid(self) -> bool:
         return self.genus == 1
+
+    @property
+    def discrepancy(self) -> bool:
+        """Field and order class numbers differ, which needs conductor > 1."""
+        return self.disc is not None and self.disc.f > 1 and self.h_field != self.h_order
+
+
+def _class_numbers(od: OrderDisc | None) -> tuple[int, int]:
+    """(h_field, h_order) for the order od; the field Q of rational eigenvalues has (1, 1)."""
+    if od is None:
+        return 1, 1
+    return class_count(od.D0, EquivMode.IMPROPER), class_count(od, EquivMode.IMPROPER)
+
+
+@dataclass(frozen=True)
+class GenusReport(GenusCount):
+    matrix: IntMat2
+    char: CharPoly
+    representatives: LMSet | None
+    canonical: CanonicalData | None
+    evidence: Evidence | None
+    presentation: str
 
 
 def branch_of(p: CharPoly) -> TheoremBranch:
@@ -136,64 +158,81 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
         raise ValueError(f"unknown evidence level {evidence_level!r}")
     p = char_poly(m)
     branch = branch_of(p)
-    geo = geometry(m)
-    pres = presentation(m)
-
-    if branch is not TheoremBranch.MAIN_QUADRATIC:
-        if p.t == 0 and p.n == 1:
-            od = order_disc(p)  # Gaussian integers, discriminant -4
-            h_field = h_order = class_count(od.D0, EquivMode.IMPROPER)
-        else:
-            od = None  # eigenvalues are rational: the field is Q, class number 1
-            h_field = h_order = 1
-        target, conj = canonical_form(m)
-        return GenusReport(
-            matrix=m,
-            char=p,
-            geometry=geo,
-            branch=branch,
-            disc=od,
-            h_field=h_field,
-            h_order=h_order,
-            genus=1,
-            discrepancy=False,
-            representatives=None,
-            canonical=CanonicalData(target, conj),
-            evidence=None,
-            presentation=pres,
-        )
-
-    od = order_disc(p)
-    h_field = class_count(od.D0, EquivMode.IMPROPER)
-    h_order = class_count(od, EquivMode.IMPROPER)
-    reps = lm_representatives(p)
-    evidence = None if evidence_level == "none" else _pair_evidence(reps, evidence_level)
+    reps = canonical = evidence = None
+    if branch is TheoremBranch.MAIN_QUADRATIC:
+        reps = lm_representatives(p)
+        od = reps.disc
+        if evidence_level != "none":
+            evidence = _pair_evidence(reps, evidence_level)
+    else:
+        # trace 0, det 1 has the Gaussian integers (D = -4); otherwise the
+        # eigenvalues are rational and the field is Q
+        od = order_disc(p) if p.disc < 0 else None
+        canonical = CanonicalData(*canonical_form(m))
+    h_field, h_order = _class_numbers(od)
     return GenusReport(
-        matrix=m,
-        char=p,
-        geometry=geo,
+        geometry=geometry(m),
         branch=branch,
         disc=od,
         h_field=h_field,
         h_order=h_order,
-        genus=h_field,
-        discrepancy=(od.f > 1 and h_field != h_order),
+        matrix=m,
+        char=p,
         representatives=reps,
-        canonical=None,
+        canonical=canonical,
         evidence=evidence,
-        presentation=pres,
+        presentation=presentation(m),
     )
 
 
-def corollary1_check(m: IntMat2) -> bool:
-    """Trace 0 or equal eigenvalues implies genus 1; returns whether that held."""
-    p = char_poly(m)
-    if p.t != 0 and p.disc != 0:
-        return True
-    return genus(m, evidence_level="none").genus == 1
+# ---------------------------------------------------------------------------
+# Survey
+# ---------------------------------------------------------------------------
 
 
-def rigidity_verdict(m: IntMat2) -> Rigidity:
-    """Rigid when the group is alone in its genus (genus 1)."""
-    report = genus(m, evidence_level="none")
-    return Rigidity.RIGID if report.rigid else Rigidity.NON_RIGID
+@dataclass(frozen=True)
+class SurveyRow:
+    t: int
+    n: int
+    D: int
+    D0: int
+    f: int
+    geometry: str
+    branch: str
+    h_field: int
+    h_order: int
+    genus: int
+    rigid: bool
+
+
+def _survey_cell(cell: tuple[int, int]) -> SurveyRow:
+    t, n = cell
+    p = CharPoly(t, n)
+    od = order_disc(p)
+    c = GenusCount(geometry(companion(p)), branch_of(p), od, *_class_numbers(od))
+    return SurveyRow(
+        t, n, od.D, od.D0, od.f, c.geometry.value, c.branch.value, c.h_field, c.h_order, c.genus, c.rigid
+    )
+
+
+def survey_rows(tmax: int, det: str = "both") -> list[SurveyRow]:
+    """One row per (t, n) cell with hyperbolic real spectrum (D > 0 nonsquare).
+
+    These are exactly the Sol cells; cells with degenerate or complex spectrum
+    are skipped because the genus data there does not depend on (t, n) alone.
+    Rows carry the class numbers and the genus as :func:`genus` decides them,
+    without building the representatives.
+    """
+    dets = {"both": (-1, 1), "1": (1,), "-1": (-1,)}[det]
+    cells = [
+        (t, n)
+        for t in range(-tmax, tmax + 1)
+        for n in dets
+        if (d := t * t - 4 * n) > 0 and not is_square(d)
+    ]
+    cells.sort()
+    workers = int(os.environ.get("SOLGENUS_WORKERS", "1"))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(_survey_cell, cells))
+    return [_survey_cell(c) for c in cells]

@@ -50,7 +50,8 @@ def multiplication_matrix(ideal: IdealRep, p: CharPoly) -> IntMat2:
         raise SolgenusError("ideal and characteristic polynomial disagree on discriminant")
     t, D, a, b = p.t, ideal.disc.D, ideal.a, ideal.b
     m = IntMat2((t + b) // 2, (D - b * b) // (4 * a), a, (t - b) // 2)
-    assert m.trace() == p.t and m.det() == p.n, "multiplication matrix postcondition"
+    if m.trace() != p.t or m.det() != p.n:
+        raise SolgenusError(f"multiplication matrix {m} does not have characteristic polynomial {p}")
     return m
 
 
@@ -64,6 +65,7 @@ class LMSet:
     """One matrix per form class of the order, principal class first."""
 
     p: CharPoly
+    disc: OrderDisc
     reps: tuple[IntMat2, ...]
     forms: tuple[BQForm, ...]
 
@@ -102,4 +104,4 @@ def lm_representatives(p: CharPoly) -> LMSet:
         else:
             reps.append(multiplication_matrix(IdealRep(abs(q.a), q.b, od), p))
         forms.append(q)
-    return LMSet(p, tuple(reps), tuple(forms))
+    return LMSet(p, od, tuple(reps), tuple(forms))

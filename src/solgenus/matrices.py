@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NotUnimodular, ParseError
+from .errors import NotUnimodular, ParseError, SolgenusError
 
 
 def is_square(n: int) -> bool:
@@ -34,9 +34,6 @@ class IntMat2:
     def trace(self) -> int:
         return self.a + self.d
 
-    def is_unimodular(self) -> bool:
-        return self.det() in (1, -1)
-
     def __mul__(self, other: "IntMat2") -> "IntMat2":
         return IntMat2(
             self.a * other.a + self.b * other.c,
@@ -57,9 +54,6 @@ class IntMat2:
             k >>= 1
         return out
 
-    def __neg__(self) -> "IntMat2":
-        return IntMat2(-self.a, -self.b, -self.c, -self.d)
-
     def inverse(self) -> "IntMat2":
         """Exact inverse; only defined on GL2(Z), where the adjugate is integral."""
         n = self.det()
@@ -69,9 +63,6 @@ class IntMat2:
             return IntMat2(-self.d, self.b, self.c, -self.a)
         raise NotUnimodular(f"determinant {n}, cannot invert over Z")
 
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
     @classmethod
     def identity(cls) -> "IntMat2":
         return cls(1, 0, 0, 1)
@@ -80,14 +71,6 @@ class IntMat2:
     def from_rows(cls, rows) -> "IntMat2":
         (a, b), (c, d) = rows
         return cls(int(a), int(b), int(c), int(d))
-
-
-def mat_mul(x: IntMat2, y: IntMat2) -> IntMat2:
-    return x * y
-
-
-def mat_inv(x: IntMat2) -> IntMat2:
-    return x.inverse()
 
 
 @dataclass(frozen=True)
@@ -142,7 +125,8 @@ def spectrum_class(p: CharPoly) -> SpectrumClass:
         return SpectrumClass.SPLIT_RATIONAL
     if d < 0:
         return SpectrumClass.COMPLEX_QUADRATIC
-    assert not is_square(d), f"unexpected square discriminant {d} with det {p.n}"
+    if is_square(d):
+        raise SolgenusError(f"unexpected square discriminant {d} with det {p.n}")
     return SpectrumClass.REAL_QUADRATIC
 
 

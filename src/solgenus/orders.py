@@ -4,14 +4,13 @@ A unimodular matrix with irreducible characteristic polynomial x^2 - t*x + n
 has an irrational eigenvalue lam = (t + sqrt(D))/2, D = t^2 - 4n.  The ring
 Z[lam] is an order of discriminant D inside the maximal order of
 Q(sqrt(d)), where d is the square-free part of D.  This module computes the
-fundamental discriminant, the conductor, and lam itself as a unit.
+fundamental discriminant and the conductor.
 """
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegenerateSpectrum
 from .matrices import CharPoly, is_square
@@ -64,29 +63,38 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
-def square_free_decompose(m: int) -> tuple[int, int]:
-    """Write m = s^2 * d with d square-free; returns (d, s), sign(d) = sign(m).
+def factor(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1, p increasing.
 
-    Trial division up to sqrt(|m|); fine for desk-scale inputs (|m| <= ~1e12).
+    Trial division up to sqrt(n); fine for desk-scale inputs (n <= ~1e12).
     """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def square_free_decompose(m: int) -> tuple[int, int]:
+    """Write m = s^2 * d with d square-free; returns (d, s), sign(d) = sign(m)."""
     if m == 0:
         raise ValueError("square-free decomposition of 0 is undefined")
-    sign = 1 if m > 0 else -1
-    rest = abs(m)
     d, s = 1, 1
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    d *= rest
-    return sign * d, s
+    for p, e in factor(abs(m)):
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return (d if m > 0 else -d), s
 
 
 @dataclass(frozen=True)
@@ -139,88 +147,3 @@ def order_disc(p: CharPoly) -> OrderDisc:
     if D == 0 or is_square(D):
         raise DegenerateSpectrum(f"characteristic polynomial {p} is reducible over Q")
     return disc_from_int(D)
-
-
-@dataclass(frozen=True)
-class QuadElement:
-    """Element x + y*sqrt(D0) of Q(sqrt(d)), with 2x and 2y integral."""
-
-    x: Fraction
-    y: Fraction
-    D0: int
-
-    def __post_init__(self):
-        if (2 * self.x).denominator != 1 or (2 * self.y).denominator != 1:
-            raise ValueError("coordinates must be integers or half-integers")
-        if self.D0 % 4 == 1:
-            if (self.x - self.y).denominator != 1:
-                raise ValueError("x and y must be integral or half-integral together")
-        elif self.x.denominator != 1:
-            raise ValueError("x must be integral when D0 = 0 mod 4")
-
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.x, -self.y, self.D0)
-
-    def norm(self) -> Fraction:
-        return self.x * self.x - self.D0 * self.y * self.y
-
-    def trace(self) -> Fraction:
-        return 2 * self.x
-
-    def __str__(self) -> str:
-        d = self.D0 if self.D0 % 4 == 1 else self.D0 // 4
-        yd = self.y * (1 if self.D0 % 4 == 1 else 2)  # coefficient of sqrt(d)
-        if yd == 0:
-            return str(self.x)
-        coeff = "" if yd == 1 else "-" if yd == -1 else f"{yd}*"
-        if self.x == 0:
-            return f"{coeff}√{d}"
-        sign = "+" if yd > 0 else "-"
-        mag = abs(yd)
-        coeff = "" if mag == 1 else f"{mag}*"
-        return f"{self.x} {sign} {coeff}√{d}"
-
-
-@dataclass(frozen=True)
-class UnitElement:
-    """A unit of the order, of norm +-1 and different from +-1."""
-
-    value: QuadElement
-    norm: int
-
-    def __post_init__(self):
-        if self.norm not in (1, -1):
-            raise ValueError("unit norm must be +-1")
-        if self.value.norm() != self.norm:
-            raise ValueError("stored norm disagrees with coordinates")
-        if self.value.y == 0:
-            raise ValueError("unit must not be rational (in particular not +-1)")
-
-
-def eigenvalue_unit(p: CharPoly) -> UnitElement:
-    """The eigenvalue lam = (t + sqrt(D))/2 as a unit, in sqrt(D0) coordinates."""
-    if p.n not in (1, -1):
-        raise ValueError("eigenvalue is a unit only for det = +-1")
-    od = order_disc(p)
-    # sqrt(D) = f * sqrt(D0)
-    value = QuadElement(Fraction(p.t, 2), Fraction(od.f, 2), od.D0)
-    return UnitElement(value, p.n)
-
-
-def subring_index(p: CharPoly) -> int:
-    """Index of Z[lam, lam^-1] = Z[lam] in the maximal order.
-
-    Computed as |det| of the change of basis from (1, lam) to (1, w), where
-    w is the standard generator of the maximal order (sqrt(d), or
-    (1 + sqrt(d))/2 when d = 1 mod 4).  Equals the conductor.
-    """
-    od = order_disc(p)
-    d, s = square_free_decompose(od.D)
-    if d % 4 == 1:
-        # lam = (t - s)/2 + s*w with w = (1 + sqrt(d))/2
-        basis_change = ((1, (p.t - s) // 2), (0, s))
-    else:
-        # lam = t/2 + (s/2)*w with w = sqrt(d); t and s are even here
-        basis_change = ((1, p.t // 2), (0, s // 2))
-    (a, b), (c, e) = basis_change
-    return abs(a * e - b * c)

@@ -100,6 +100,18 @@ def test_conj_mod_range(capsys):
     assert len(data["levels"]) == 11
 
 
+def test_conj_mod_prime_power_above_limit_exit_one(capsys, monkeypatch):
+    import solgenus.conjugacy
+
+    def no_scan(*args):
+        raise AssertionError("a GL2(Z/q) grid was built")
+
+    monkeypatch.setattr(solgenus.conjugacy, "_modular_scan", no_scan)
+    for m in ("97", "194", "59"):  # 194 = 2 * 97: the part 2 is not scanned either
+        code, out, err = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--m", m)
+        assert code == 1 and out == "" and "prime-power part above 53" in err, m
+
+
 def test_classnumber(capsys):
     _, out, _ = run_cli(capsys, "classnumber", "40")
     data = json.loads(out)

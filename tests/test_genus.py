@@ -3,16 +3,14 @@ import random
 import pytest
 
 from solgenus import (
+    CharPoly,
     GeometryLabel,
     IntMat2,
     NotUnimodular,
-    Rigidity,
     TheoremBranch,
     char_poly,
-    corollary1_check,
     genus,
     presentation,
-    rigidity_verdict,
 )
 from solgenus.matrices import is_square
 
@@ -52,7 +50,7 @@ def test_genus_trace_zero_canonical_verified():
 
 
 def test_genus_repeated_branch():
-    for m in [mat(1, 3, 0, 1), mat(-1, 0, 7, -1), IntMat2.identity(), -IntMat2.identity()]:
+    for m in [mat(1, 3, 0, 1), mat(-1, 0, 7, -1), IntMat2.identity(), mat(-1, 0, 0, -1)]:
         r = genus(m)
         assert r.branch in (TheoremBranch.REPEATED_ONE, TheoremBranch.REPEATED_MINUS_ONE)
         assert r.genus == 1 and r.h_field == 1
@@ -108,15 +106,15 @@ def test_representative_count_equals_genus_when_conductor_one():
 
 
 def test_corollary1_examples():
-    assert corollary1_check(mat(0, 1, 1, 0))
-    assert corollary1_check(mat(-1, 3, 0, -1))
-    assert corollary1_check(mat(2, 1, 1, 1))  # vacuous
+    # trace 0 or equal eigenvalues implies genus 1
+    assert genus(mat(0, 1, 1, 0), "none").genus == 1
+    assert genus(mat(-1, 3, 0, -1), "none").genus == 1
 
 
 def test_rigidity_examples():
-    assert rigidity_verdict(mat(1, 0, 5, 1)) == Rigidity.RIGID
-    assert rigidity_verdict(mat(2, 1, 1, 1)) == Rigidity.RIGID
-    assert rigidity_verdict(mat(6, 1, 1, 0)) == Rigidity.NON_RIGID
+    assert genus(mat(1, 0, 5, 1), "none").rigid
+    assert genus(mat(2, 1, 1, 1), "none").rigid
+    assert not genus(mat(6, 1, 1, 0), "none").rigid
 
 
 def test_presentation_examples():
@@ -180,5 +178,18 @@ def test_genus_factors_discriminant_a_fixed_number_of_times(monkeypatch):
     _class_set_cached.cache_clear()
     report = genus(mat(0, 1, 1, 100), evidence_level="none")
     assert report.h_order == 12 and report.representatives.count == 12
-    # once for the report's order, once for the field, once for the representatives
-    assert len(calls) <= 3
+    # once for the order of the representatives, once for the field
+    assert len(calls) <= 2
+
+
+def test_survey_rows_match_genus_reports():
+    from solgenus.genus import survey_rows
+    from solgenus.ideals import companion
+
+    rows = survey_rows(30, "both")
+    assert len(rows) == 116
+    for row in rows:
+        r = genus(companion(CharPoly(row.t, row.n)), "none")
+        expected = (r.disc.D, r.disc.D0, r.disc.f, r.geometry.value, r.branch.value)
+        assert (row.D, row.D0, row.f, row.geometry, row.branch) == expected, row
+        assert (row.h_field, row.h_order, row.genus, row.rigid) == (r.h_field, r.h_order, r.genus, r.rigid), row

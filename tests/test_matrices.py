@@ -16,8 +16,6 @@ from solgenus import (
     format_matrix,
     geometry,
     is_hyperbolic,
-    mat_inv,
-    mat_mul,
     matrix_order,
     parse_matrix,
     spectrum_class,
@@ -159,11 +157,11 @@ def test_geometry_conjugation_invariant():
 
 def test_mat_mul_and_inv_examples():
     a = mat(2, 1, 1, 1)
-    assert mat_mul(IntMat2.identity(), a) == a
-    assert mat_inv(mat(0, -1, 1, 0)) == mat(0, 1, -1, 0)
-    assert mat_mul(a, mat(1, -1, -1, 2)) == IntMat2.identity()
+    assert IntMat2.identity() * a == a
+    assert mat(0, -1, 1, 0).inverse() == mat(0, 1, -1, 0)
+    assert a * mat(1, -1, -1, 2) == IntMat2.identity()
     with pytest.raises(NotUnimodular):
-        mat_inv(mat(2, 0, 0, 2))
+        mat(2, 0, 0, 2).inverse()
 
 
 @given(small_mats, small_mats)

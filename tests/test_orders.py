@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,12 +5,10 @@ from hypothesis import strategies as st
 from solgenus import (
     CharPoly,
     DegenerateSpectrum,
-    QuadElement,
     disc_from_int,
-    eigenvalue_unit,
+    factor,
     order_disc,
     square_free_decompose,
-    subring_index,
 )
 from solgenus.matrices import is_square
 
@@ -26,9 +22,20 @@ def test_square_free_examples():
 
 
 def test_square_free_exhaustive_small():
+    assert factor(1) == [] and factor(97) == [(97, 1)] and factor(720) == [(2, 4), (3, 2), (5, 1)]
+    with pytest.raises(ValueError):
+        factor(0)
     for m in range(-10_000, 10_001):
         if m == 0:
             continue
+        pes = factor(abs(m))
+        ps = [p for p, _ in pes]
+        assert ps == sorted(set(ps)) and all(e >= 1 for _, e in pes)
+        assert all(p > 1 and all(p % k for k in range(2, int(p**0.5) + 1)) for p in ps), (m, pes)
+        prod = 1
+        for p, e in pes:
+            prod *= p**e
+        assert prod == abs(m)
         d, s = square_free_decompose(m)
         assert s >= 1 and d * s * s == m
         assert (d > 0) == (m > 0)
@@ -50,6 +57,14 @@ def test_order_disc_examples():
     assert (od.D, od.D0, od.f) == (40, 40, 1)
     od = order_disc(CharPoly(7, 1))
     assert (od.D, od.D0, od.f) == (45, 5, 3)
+    # independently: the conductor is the largest f with D / f^2 = 0 or 1 mod 4
+    for t in range(-30, 31):
+        for n in (1, -1):
+            D = t * t - 4 * n
+            if D == 0 or (D > 0 and is_square(D)):
+                continue
+            f = max(k for k in range(1, abs(D) + 1) if D % (k * k) == 0 and D // (k * k) % 4 in (0, 1))
+            assert order_disc(CharPoly(t, n)).f == f, (t, n)
 
 
 def test_order_disc_rejects_degenerate():
@@ -70,66 +85,6 @@ def test_disc_from_int_fundamental_split():
     assert (od.D0, od.f, od.d) == (-4, 2, -1)
     od = disc_from_int(148)
     assert (od.D0, od.f, od.d) == (37, 2, 37)
-
-
-def test_eigenvalue_unit_examples():
-    u = eigenvalue_unit(CharPoly(6, -1))
-    assert (u.value.x, u.value.y, u.value.D0) == (3, Fraction(1, 2), 40)
-    assert str(u.value) == "3 + √10"
-    assert u.norm == -1
-
-    u = eigenvalue_unit(CharPoly(1, 1))
-    assert (u.value.x, u.value.y, u.value.D0) == (Fraction(1, 2), Fraction(1, 2), -3)
-    assert u.norm == 1
-
-    u = eigenvalue_unit(CharPoly(3, 1))
-    assert (u.value.x, u.value.y, u.value.D0) == (Fraction(3, 2), Fraction(1, 2), 5)
-    assert u.norm == 1
-
-
-def test_eigenvalue_unit_norm_trace_recovered():
-    for t in range(-30, 31):
-        for n in (1, -1):
-            if t * t - 4 * n == 0 or is_square(max(t * t - 4 * n, 0)):
-                continue
-            u = eigenvalue_unit(CharPoly(t, n))
-            assert u.value.norm() == n
-            assert u.value.trace() == t
-
-
-def test_quad_element_parity_validation():
-    QuadElement(Fraction(1, 2), Fraction(1, 2), 5)
-    QuadElement(Fraction(3), Fraction(1, 2), 40)
-    with pytest.raises(ValueError):
-        QuadElement(Fraction(1, 2), Fraction(1), 5)  # mixed parity over d = 1 mod 4
-    with pytest.raises(ValueError):
-        QuadElement(Fraction(1, 2), Fraction(1), 40)  # x must be integral over d = 2, 3 mod 4
-    with pytest.raises(ValueError):
-        QuadElement(Fraction(1, 3), Fraction(0), 5)
-
-
-def test_quad_element_display():
-    u = eigenvalue_unit(CharPoly(6, -1)).value
-    assert str(u) == "3 + √10"
-    assert str(u.conjugate()) == "3 - √10"
-    assert str(eigenvalue_unit(CharPoly(10, -1)).value) == "5 + √26"
-    assert str(eigenvalue_unit(CharPoly(1, 1)).value) == "1/2 + 1/2*√-3"
-
-
-def test_subring_index_examples():
-    assert subring_index(CharPoly(6, -1)) == 1
-    assert subring_index(CharPoly(7, 1)) == 3
-    assert subring_index(CharPoly(3, 1)) == 1
-
-
-def test_subring_index_equals_conductor():
-    # two independent routes: lattice basis-change determinant vs square-free split
-    for t in range(-30, 31):
-        for n in (1, -1):
-            d = t * t - 4 * n
-            if d == 0 or (d > 0 and is_square(d)):
-                continue
-            assert subring_index(CharPoly(t, n)) == order_disc(CharPoly(t, n)).f, (t, n)
 
 
 def test_primes_up_to_matches_trial_division_and_grows():
