@@ -87,6 +87,42 @@ def test_disc_from_int_fundamental_split():
     assert (od.D0, od.f, od.d) == (37, 2, 37)
 
 
+def _subring_index(t, n):
+    """Index of Z[lam] in the maximal order, lam a root of x^2 - t x + n.
+
+    |det| of the change of basis from (1, lam) to (1, w), w the standard
+    generator of the maximal order: sqrt(d), or (1 + sqrt(d))/2 when
+    d = 1 mod 4.  A lattice route to the conductor, apart from OrderDisc.
+    """
+    D = t * t - 4 * n
+    s = max(k for k in range(1, abs(D) + 1) if D % (k * k) == 0)
+    d = D // (s * s)
+    if d % 4 == 1:
+        # lam = (t - s)/2 + s*w with w = (1 + sqrt(d))/2
+        (a, b), (c, e) = (1, (t - s) // 2), (0, s)
+    else:
+        # lam = t/2 + (s/2)*w with w = sqrt(d); t and s are even here
+        assert t % 2 == 0 and s % 2 == 0
+        (a, b), (c, e) = (1, t // 2), (0, s // 2)
+    return abs(a * e - b * c)
+
+
+def test_subring_index_examples():
+    assert _subring_index(6, -1) == order_disc(CharPoly(6, -1)).f == 1
+    assert _subring_index(7, 1) == order_disc(CharPoly(7, 1)).f == 3
+    assert _subring_index(3, 1) == order_disc(CharPoly(3, 1)).f == 1
+
+
+def test_subring_index_equals_conductor():
+    # two independent routes: lattice basis-change determinant vs square-free split
+    for t in range(-30, 31):
+        for n in (1, -1):
+            d = t * t - 4 * n
+            if d == 0 or (d > 0 and is_square(d)):
+                continue
+            assert _subring_index(t, n) == order_disc(CharPoly(t, n)).f, (t, n)
+
+
 def test_primes_up_to_matches_trial_division_and_grows():
     from solgenus.orders import primes_up_to
 
