@@ -10,13 +10,13 @@ import argparse
 
 from solgenus import (
     CharPoly,
-    are_conjugate_mod_m,
     brute_force_conjugator,
     class_set,
     format_matrix,
     genus,
     lm_representatives,
     presentation,
+    profinite_evidence,
 )
 from solgenus.ideals import companion
 
@@ -53,8 +53,7 @@ def main() -> None:
     print(f"  witness: {None if res.witness is None else format_matrix(res.witness.P)} (bound {res.bound})")
 
     print(f"\ncongruence-level witnesses (GL2(Z/m), m = 2..{args.mmax}):")
-    for m in range(2, args.mmax + 1):
-        w = are_conjugate_mod_m(a, b, m)
+    for m, w in profinite_evidence(a, b, args.mmax).levels:
         tag = "none" if w is None else format_matrix(w.P)
         print(f"  m = {m:>2}: {tag}")
 

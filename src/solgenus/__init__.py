@@ -10,6 +10,7 @@ from .conjugacy import (
     brute_force_conjugator,
     canonical_form,
     matrix_to_form,
+    modular_table,
     profinite_evidence,
 )
 from .errors import (
@@ -26,10 +27,8 @@ from .forms import (
     FormClassSet,
     class_count,
     class_set,
-    cycle,
     forms_equivalent,
     reduce_definite,
-    rho_step,
 )
 from .genus import (
     GenusReport,
@@ -37,7 +36,7 @@ from .genus import (
     genus,
     presentation,
 )
-from .ideals import IdealRep, LMSet, companion, form_to_ideal, lm_representatives, multiplication_matrix
+from .ideals import LMSet, companion, lm_representatives, multiplication_matrix
 from .matrices import (
     CharPoly,
     GeometryLabel,

@@ -4,8 +4,7 @@ Output formats are byte-stable for fixed inputs and flags.  Integers whose
 magnitude exceeds 2^53 - 1 are emitted as decimal strings in JSON so that
 double-precision consumers never lose digits.
 
-Environment: SOLGENUS_COLOR enables ANSI color in table output;
-SOLGENUS_WORKERS shards the survey (see :func:`solgenus.genus.survey_rows`).
+Environment: SOLGENUS_COLOR enables ANSI color in table output.
 """
 from __future__ import annotations
 
@@ -16,11 +15,11 @@ import json
 import os
 import sys
 
-from .conjugacy import are_conjugate_gl2z, are_conjugate_mod_m
+from .conjugacy import are_conjugate_gl2z, modular_table
 from .errors import SolgenusError
 from .forms import EquivMode, class_set
 from .genus import GenusReport, TheoremBranch, branch_of, genus, survey_rows
-from .ideals import lm_representatives
+from .ideals import LMSet, lm_representatives
 from .matrices import CharPoly, IntMat2, char_poly, geometry, matrix_order, parse_matrix, spectrum_class
 from .orders import disc_from_int
 
@@ -108,13 +107,14 @@ def render(report: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _representatives(reps: LMSet) -> list[dict]:
+    return [{"matrix": _mat(m), "form": list(f.triple())} for m, f in zip(reps.reps, reps.forms)]
+
+
 def genus_report_dict(r: GenusReport) -> dict:
     reps = None
     if r.representatives is not None:
-        reps = [
-            {"matrix": _mat(m), "form": list(f.triple())}
-            for m, f in zip(r.representatives.reps, r.representatives.forms)
-        ]
+        reps = _representatives(r.representatives)
         if not reps:
             raise SolgenusError("a genus report must carry at least one representative")
     canonical = None
@@ -202,9 +202,7 @@ def _cmd_enumerate(args) -> str:
         "D0": od.D0,
         "conductor": od.f,
         "count": reps.count,
-        "representatives": [
-            {"matrix": _mat(m), "form": list(f.triple())} for m, f in zip(reps.reps, reps.forms)
-        ],
+        "representatives": _representatives(reps),
     }
     return render(report, args.format)
 
@@ -236,20 +234,14 @@ def _cmd_conj(args) -> str:
 def _cmd_conj_mod(args) -> str:
     a = parse_matrix(args.matrix_a)
     b = parse_matrix(args.matrix_b)
-    moduli = [args.m] if args.m is not None else list(range(2, args.mmax + 1))
-    levels = []
-    first_failure = None
-    for m in moduli:
-        w = are_conjugate_mod_m(a, b, m)
-        if w is None and first_failure is None:
-            first_failure = m
-        levels.append({"m": m, "witness": None if w is None else _mat(w.P)})
+    moduli = [args.m] if args.m is not None else range(2, args.mmax + 1)
+    table = modular_table(a, b, moduli)
     report = {
         "matrix_a": _mat(a),
         "matrix_b": _mat(b),
-        "levels": levels,
-        "all_witnessed": first_failure is None,
-        "first_failure": first_failure,
+        "levels": [{"m": m, "witness": None if w is None else _mat(w.P)} for m, w in table.levels],
+        "all_witnessed": table.consistent,
+        "first_failure": table.refuted_at,
     }
     return render(report, args.format)
 

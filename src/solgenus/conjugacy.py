@@ -17,13 +17,14 @@ matrix is the identity mod 2; the two types are already non-conjugate mod 2).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, SolgenusError
-from .forms import _FLIP, BQForm, _equiv_proper, _opposite
+from .forms import _FLIP, BQForm, forms_equivalent
 from .matrices import IntMat2, char_poly, is_square
 from .orders import factor
 
@@ -84,25 +85,30 @@ def _content(m: IntMat2) -> int:
     return math.gcd(math.gcd(abs(m.a), abs(m.b)), math.gcd(abs(m.c), abs(m.d)))
 
 
-def _fixed_form_raw(m: IntMat2) -> tuple[int, int, int]:
-    return (m.c, m.d - m.a, -m.b)
+def _fixed_form(m: IntMat2) -> tuple[int, int, BQForm]:
+    """(content, sign, primitive form) of the fixed-line form F = (c, d - a, -b) of m.
+
+    The form is sign * F / content; sign is -1 exactly when F is negative
+    definite, so a definite form is carried by its positive representative.
+    Requires a nondegenerate discriminant.
+    """
+    a, b, c = m.c, m.d - m.a, -m.b
+    g = math.gcd(a, b, c)
+    sign = -1 if b * b - 4 * a * c < 0 and a < 0 else 1
+    return g, sign, BQForm(sign * a // g, sign * b // g, sign * c // g)
 
 
 def matrix_to_form(m: IntMat2) -> BQForm:
     """Primitive fixed-line form of a matrix with irreducible characteristic polynomial.
 
-    Sign-normalized to the positive definite representative when the
+    This is the form that decides GL2(Z)-conjugacy in :func:`are_conjugate_gl2z`,
+    sign-normalized to the positive definite representative when the
     discriminant is negative.
     """
     p = char_poly(m)
     if p.disc == 0 or is_square(p.disc):
         raise DegenerateSpectrum(f"{p} is reducible; no nondegenerate fixed form")
-    raw = _fixed_form_raw(m)
-    g = math.gcd(math.gcd(abs(raw[0]), abs(raw[1])), abs(raw[2]))
-    a, b, c = (x // g for x in raw)
-    if b * b - 4 * a * c < 0 and a < 0:
-        a, b, c = -a, -b, -c
-    return BQForm(a, b, c)
+    return _fixed_form(m)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -229,46 +235,26 @@ def are_conjugate_gl2z(a: IntMat2, b: IntMat2) -> ConjugacyWitness | None:
         return None
     if a == b:
         return ConjugacyWitness(IntMat2.identity(), a, b)
-    D = pa.disc
-    if D == 0:
-        ca, qa = _canonical_repeated(a)
-        cb, qb = _canonical_repeated(b)
+    if pa.disc in (0, 4):
+        ca, qa = canonical_form(a)
+        cb, qb = canonical_form(b)
         if ca != cb:
             return None
         return ConjugacyWitness(qb.inverse() * qa, a, b)
-    if D == 4:
-        ca, qa = _canonical_involution(a)
-        cb, qb = _canonical_involution(b)
-        if ca != cb:
-            return None
-        return ConjugacyWitness(qb.inverse() * qa, a, b)
-
-    raw_a, raw_b = _fixed_form_raw(a), _fixed_form_raw(b)
-    ga = math.gcd(math.gcd(abs(raw_a[0]), abs(raw_a[1])), abs(raw_a[2]))
-    gb = math.gcd(math.gcd(abs(raw_b[0]), abs(raw_b[1])), abs(raw_b[2]))
+    ga, sa, qa = _fixed_form(a)
+    gb, sb, qb = _fixed_form(b)
     if ga != gb:
         return None  # form content is a conjugacy invariant
-    fa = tuple(x // ga for x in raw_a)
-    fb = tuple(x // gb for x in raw_b)
-    dprim = fa[1] * fa[1] - 4 * fa[0] * fa[2]
-
-    v: IntMat2 | None = None
-    if dprim < 0:
-        sa, sb = (1 if fa[0] > 0 else -1), (1 if fb[0] > 0 else -1)
-        qa_t = tuple(sa * x for x in fa)
-        qb_t = tuple(sb * x for x in fb)
-        if sa == sb:
-            v = _equiv_proper(qa_t, qb_t, dprim)
-        else:
-            mtx = _equiv_proper((qa_t[0], -qa_t[1], qa_t[2]), qb_t, dprim)
-            v = None if mtx is None else _FLIP * mtx
-    else:
-        v = _equiv_proper(fa, fb, dprim)
-        if v is None:
-            mtx = _equiv_proper(_opposite(fa), fb, dprim)
-            v = None if mtx is None else _FLIP * mtx
+    if sa != sb:
+        # D < 0 and the fixed forms have opposite signs: the det -1 step _FLIP
+        # carries F_a to sign(F_b) * (qa.a, -qa.b, qa.c).  Same signs need no
+        # step, since negation commutes with substitution.
+        qa = BQForm(qa.a, -qa.b, qa.c)
+    v = forms_equivalent(qa, qb)
     if v is None:
         return None
+    if sa != sb:
+        v = _FLIP * v
     return ConjugacyWitness(v.inverse(), a, b)
 
 
@@ -338,19 +324,24 @@ def _crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
     return (x1 + (x2 - x1) * s % m2 * m1) % (m1 * m2)
 
 
+def _scan_parts(m: int) -> list[tuple[int, int]]:
+    """(q, p) for each prime-power part q = p^e of m, or an error if m cannot be scanned."""
+    if m < 2:
+        raise ValueError("modulus must be at least 2")
+    split = [(p**e, p) for p, e in factor(m)]
+    if max(q for q, _ in split) > MAX_SCAN_PRIME_POWER:
+        raise SolgenusError(f"modulus {m} has a prime-power part above {MAX_SCAN_PRIME_POWER}")
+    return split
+
+
 def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int) -> ModularWitness | None:
     """Witness of conjugacy in GL2(Z/m), assembled prime power by prime power.
 
     Raises SolgenusError, before any scan, when a prime-power part of m
     exceeds MAX_SCAN_PRIME_POWER.
     """
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
-    split = [(p**e, p) for p, e in factor(m)]
-    if max(q for q, _ in split) > MAX_SCAN_PRIME_POWER:
-        raise SolgenusError(f"modulus {m} has a prime-power part above {MAX_SCAN_PRIME_POWER}")
     parts = []
-    for q, p in split:
+    for q, p in _scan_parts(m):
         am = tuple(x % q for x in _entries(a))
         bm = tuple(x % q for x in _entries(b))
         w = _modular_scan(am, bm, q, p)
@@ -369,7 +360,7 @@ def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int) -> ModularWitness | None
 
 @dataclass(frozen=True)
 class ProfiniteEvidence:
-    """Per-level conjugacy witnesses for m = 2..m_max, with a summary verdict."""
+    """Per-level conjugacy witnesses for a list of moduli, with a summary verdict."""
 
     m_max: int
     levels: tuple[tuple[int, ModularWitness | None], ...]
@@ -386,15 +377,23 @@ class ProfiniteEvidence:
         return f"refuted at m = {self.refuted_at}"
 
 
+def modular_table(a: IntMat2, b: IntMat2, moduli: Sequence[int]) -> ProfiniteEvidence:
+    """GL2(Z/m) conjugacy witness, or None, for every m in ``moduli``, in order.
+
+    Every modulus is checked before the first scan, so a modulus that cannot
+    be scanned fails the whole table at once.  The characteristic polynomials
+    of a and b may differ.  An empty table is consistent up to m = 1, where
+    GL2(Z/1) is trivial.
+    """
+    for m in moduli:
+        _scan_parts(m)
+    levels = tuple((m, are_conjugate_mod_m(a, b, m)) for m in moduli)
+    refuted = next((m for m, w in levels if w is None), None)
+    return ProfiniteEvidence(max(moduli, default=1), levels, refuted)
+
+
 def profinite_evidence(a: IntMat2, b: IntMat2, m_max: int = 30) -> ProfiniteEvidence:
     """Tabulate GL2(Z/m) conjugacy for every m in 2..m_max."""
     if char_poly(a) != char_poly(b):
         raise ValueError("profinite evidence requires equal characteristic polynomials")
-    levels = []
-    refuted = None
-    for m in range(2, m_max + 1):
-        w = are_conjugate_mod_m(a, b, m)
-        levels.append((m, w))
-        if w is None and refuted is None:
-            refuted = m
-    return ProfiniteEvidence(m_max, tuple(levels), refuted)
+    return modular_table(a, b, range(2, m_max + 1))

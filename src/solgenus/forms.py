@@ -192,14 +192,6 @@ def _reduce_indefinite(f: tuple[int, int, int], D: int) -> tuple[tuple[int, int,
     raise SolgenusError(f"indefinite reduction of disc {D} did not finish in {_REDUCTION_STEPS} steps")
 
 
-def rho_step(q: BQForm) -> BQForm:
-    """The standard reduction/neighboring step on forms of positive discriminant."""
-    D = q.disc
-    if D <= 0:
-        raise SolgenusError("rho step requires positive nonsquare discriminant")
-    return BQForm(*_rho_raw(q.triple(), D, math.isqrt(D)))
-
-
 def _cycle_raw(first: tuple[int, int, int], D: int, cap: int) -> list[tuple[int, int, int]]:
     """The rho-cycle of the reduced form ``first``, which has at most ``cap`` forms."""
     s = math.isqrt(D)
@@ -211,15 +203,6 @@ def _cycle_raw(first: tuple[int, int, int], D: int, cap: int) -> list[tuple[int,
         out.append(f)
         f = _rho_raw(f, D, s)
     return out
-
-
-def cycle(q: BQForm) -> list[BQForm]:
-    """The cycle of reduced forms containing the reduction of q (finite, even length)."""
-    D = q.disc
-    if D <= 0:
-        raise SolgenusError("cycles exist only for positive nonsquare discriminant")
-    f, _ = _reduce_indefinite(q.triple(), D)
-    return [BQForm(*g) for g in _cycle_raw(f, D, len(_reduced_forms(D)))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,10 @@ exceeds 1 the field-level and order-level class numbers can differ; both are
 reported and the discrepancy is flagged rather than silently resolved.
 
 The survey applies the same rule to every (trace, det) cell with Sol
-geometry.  Environment: SOLGENUS_WORKERS shards the survey over a process
-pool.
+geometry.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -205,8 +202,7 @@ class SurveyRow:
     rigid: bool
 
 
-def _survey_cell(cell: tuple[int, int]) -> SurveyRow:
-    t, n = cell
+def _survey_cell(t: int, n: int) -> SurveyRow:
     p = CharPoly(t, n)
     od = order_disc(p)
     c = GenusCount(geometry(companion(p)), branch_of(p), od, *_class_numbers(od))
@@ -231,8 +227,4 @@ def survey_rows(tmax: int, det: str = "both") -> list[SurveyRow]:
         if (d := t * t - 4 * n) > 0 and not is_square(d)
     ]
     cells.sort()
-    workers = int(os.environ.get("SOLGENUS_WORKERS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(_survey_cell, cells))
-    return [_survey_cell(c) for c in cells]
+    return [_survey_cell(t, n) for t, n in cells]

@@ -15,40 +15,17 @@ from dataclasses import dataclass
 from .errors import SolgenusError
 from .forms import BQForm, EquivMode, class_set
 from .matrices import CharPoly, IntMat2
-from .orders import OrderDisc, disc_from_int, order_disc
+from .orders import OrderDisc, order_disc
 
 
-@dataclass(frozen=True)
-class IdealRep:
-    """Ideal with Z-basis (a, (-b + sqrt(D))/2); norm a > 0."""
+def multiplication_matrix(q: BQForm, p: CharPoly) -> IntMat2:
+    """Matrix of multiplication by lam = (t + sqrt(D))/2 on the ideal basis (|a|, (-b + sqrt(D))/2) of q.
 
-    a: int
-    b: int
-    disc: OrderDisc
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise SolgenusError("ideal norm must be positive")
-        if (self.b * self.b - self.disc.D) % (4 * self.a) != 0:
-            raise SolgenusError(
-                f"(a, b) = ({self.a}, {self.b}) is not an ideal basis for disc {self.disc.D}"
-            )
-
-    @property
-    def norm(self) -> int:
-        return self.a
-
-
-def form_to_ideal(q: BQForm) -> IdealRep:
-    """Ideal attached to a primitive form, normalized to positive norm."""
-    return IdealRep(abs(q.a), q.b, disc_from_int(q.disc))
-
-
-def multiplication_matrix(ideal: IdealRep, p: CharPoly) -> IntMat2:
-    """Matrix of multiplication by lam = (t + sqrt(D))/2 on the ideal basis."""
-    if p.disc != ideal.disc.D:
-        raise SolgenusError("ideal and characteristic polynomial disagree on discriminant")
-    t, D, a, b = p.t, ideal.disc.D, ideal.a, ideal.b
+    That basis spans an ideal because b^2 - 4ac = D makes 4|a| divide b^2 - D.
+    """
+    if p.disc != q.disc:
+        raise SolgenusError("form and characteristic polynomial disagree on discriminant")
+    t, D, a, b = p.t, p.disc, abs(q.a), q.b
     m = IntMat2((t + b) // 2, (D - b * b) // (4 * a), a, (t - b) // 2)
     if m.trace() != p.t or m.det() != p.n:
         raise SolgenusError(f"multiplication matrix {m} does not have characteristic polynomial {p}")
@@ -102,6 +79,6 @@ def lm_representatives(p: CharPoly) -> LMSet:
         if rank == 0:
             reps.append(companion(p))
         else:
-            reps.append(multiplication_matrix(IdealRep(abs(q.a), q.b, od), p))
+            reps.append(multiplication_matrix(q, p))
         forms.append(q)
     return LMSet(p, od, tuple(reps), tuple(forms))

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import mat
+from solgenus import SolgenusError
 from solgenus.cli import main, survey_rows
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -110,6 +112,12 @@ def test_conj_mod_prime_power_above_limit_exit_one(capsys, monkeypatch):
     for m in ("97", "194", "59"):  # 194 = 2 * 97: the part 2 is not scanned either
         code, out, err = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--m", m)
         assert code == 1 and out == "" and "prime-power part above 53" in err, m
+    # a range is refused before its first level is scanned
+    for mmax in ("60", "59"):
+        code, out, err = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--mmax", mmax)
+        assert code == 1 and out == "" and "modulus 59 has a prime-power part above 53" in err, mmax
+    with pytest.raises(SolgenusError):
+        solgenus.conjugacy.profinite_evidence(mat(0, 1, 1, 6), mat(4, 3, 3, 2), 59)
 
 
 def test_classnumber(capsys):
@@ -187,16 +195,6 @@ def test_survey_rows_sorted_and_sane():
         assert r.D > 0 and r.D == r.f * r.f * r.D0
         assert r.genus == r.h_field and r.rigid == (r.genus == 1)
         assert r.branch == "MainQuadratic" and r.geometry == "Sol"
-
-
-def test_survey_worker_determinism(capsys):
-    _, serial, _ = run_cli(capsys, "survey", "--tmax", "6", "--format", "csv")
-    os.environ["SOLGENUS_WORKERS"] = "2"
-    try:
-        _, sharded, _ = run_cli(capsys, "survey", "--tmax", "6", "--format", "csv")
-    finally:
-        del os.environ["SOLGENUS_WORKERS"]
-    assert serial == sharded
 
 
 def test_survey_json_and_table(capsys):

@@ -58,6 +58,14 @@ def test_rotation_pair_witness():
     assert w is not None  # e.g. conjugation by diag(1, -1)
 
 
+def test_definite_sign_branch_witnesses():
+    # D = -3: both fixed forms negative definite, then fixed forms of opposite signs
+    w = are_conjugate_gl2z(mat(-2, 1, -3, 1), mat(-2, 3, -1, 1))
+    assert w is not None and w.P == mat(-3, 1, -1, 0)
+    w = are_conjugate_gl2z(mat(-2, -3, 1, 1), mat(-2, 1, -3, 1))
+    assert w is not None and w.P == mat(0, 1, 1, 3)
+
+
 def test_d40_representatives_not_conjugate():
     reps = lm_representatives(CharPoly(6, -1))
     assert are_conjugate_gl2z(reps.reps[0], reps.reps[1]) is None

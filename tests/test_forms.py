@@ -14,16 +14,14 @@ from solgenus import (
     SolgenusError,
     class_count,
     class_set,
-    cycle,
     forms_equivalent,
     reduce_definite,
-    rho_step,
 )
 
 import reference_forms
 from helpers import random_unimodular
 from solgenus import forms
-from solgenus.forms import _class_set_cached, _cycle_raw, _reduce_indefinite, _reduced_forms
+from solgenus.forms import _class_set_cached, _cycle_raw, _reduce_indefinite, _reduced_forms, _rho_raw
 from solgenus.matrices import is_square
 
 # ---------------------------------------------------------------------------
@@ -119,6 +117,12 @@ def test_reduce_definite_idempotent_and_class_invariant():
         assert reduce_definite(red) == red
 
 
+def cycle(q: BQForm) -> list[BQForm]:
+    """The rho-cycle of reduced forms containing the reduction of q."""
+    f, _ = _reduce_indefinite(q.triple(), q.disc)
+    return [BQForm(*g) for g in _cycle_raw(f, q.disc, len(_reduced_forms(q.disc)))]
+
+
 def test_rho_and_cycle_examples():
     assert [f.triple() for f in cycle(BQForm(1, 1, -1))] == [(1, 1, -1), (-1, 1, 1)]
     c1 = {f.triple() for f in cycle(BQForm(1, 6, -1))}
@@ -131,10 +135,10 @@ def test_cycle_closure_and_even_length():
     for seed in [BQForm(1, 1, -1), BQForm(1, 6, -1), BQForm(3, 2, -3), BQForm(1, 2, -2), BQForm(1, 8, -8)]:
         cyc = cycle(seed)
         assert len(cyc) % 2 == 0
-        q = cyc[0]
+        g, D = cyc[0].triple(), seed.disc
         for _ in range(len(cyc)):
-            q = rho_step(q)
-        assert q == cyc[0]
+            g = _rho_raw(g, D, math.isqrt(D))
+        assert g == cyc[0].triple()
         assert len(set(f.triple() for f in cyc)) == len(cyc)
 
 
@@ -148,8 +152,6 @@ def test_reduction_preserves_disc_and_primitivity():
 
 
 def test_rho_rejects_definite():
-    with pytest.raises(SolgenusError):
-        rho_step(BQForm(1, 0, 1))
     with pytest.raises(SolgenusError):
         reduce_definite(BQForm(1, 6, -1))
 

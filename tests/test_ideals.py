@@ -11,53 +11,46 @@ from solgenus import (
     brute_force_conjugator,
     char_poly,
     class_count,
-    disc_from_int,
-    form_to_ideal,
     lm_representatives,
     multiplication_matrix,
 )
-from solgenus.ideals import IdealRep, companion
+from solgenus.ideals import companion
 from solgenus.matrices import is_square
 
 from helpers import mat, unimodular_box
 
 
-def test_form_to_ideal_examples():
-    i = form_to_ideal(BQForm(1, 6, -1))
-    assert (i.a, i.b) == (1, 6) and i.norm == 1
-    i = form_to_ideal(BQForm(3, 2, -3))
-    assert (i.a, i.b) == (3, 2)
-    i = form_to_ideal(BQForm(1, 0, 1))
-    assert (i.a, i.b) == (1, 0)
-    i = form_to_ideal(BQForm(-1, 6, 1))  # sign normalized to positive norm
-    assert (i.a, i.b) == (1, 6)
-
-
-def test_ideal_rep_divisibility_invariant():
-    with pytest.raises(SolgenusError):
-        IdealRep(5, 1, disc_from_int(40))  # 20 does not divide 1 - 40
-    with pytest.raises(SolgenusError):
-        IdealRep(-3, 2, disc_from_int(40))
+def test_multiplication_matrix_ideal_basis():
+    # the ideal basis (|a|, (-b + sqrt(D))/2) of (a, b, c) shows in the matrix as
+    # lower-left entry |a| and diagonal difference b
+    for q, p, basis in (
+        (BQForm(1, 6, -1), CharPoly(6, -1), (1, 6)),
+        (BQForm(3, 2, -3), CharPoly(6, -1), (3, 2)),
+        (BQForm(-1, 6, 1), CharPoly(6, -1), (1, 6)),  # sign normalized to positive norm
+        (BQForm(1, 0, 1), CharPoly(0, 1), (1, 0)),
+    ):
+        m = multiplication_matrix(q, p)
+        assert (m.c, m.a - m.d) == basis
 
 
 def test_multiplication_matrix_examples():
     p = CharPoly(6, -1)
-    m = multiplication_matrix(form_to_ideal(BQForm(1, 6, -1)), p)
+    m = multiplication_matrix(BQForm(1, 6, -1), p)
     assert char_poly(m) == p
     assert are_conjugate_gl2z(m, companion(p)) is not None
 
-    m = multiplication_matrix(form_to_ideal(BQForm(3, 2, -3)), p)
+    m = multiplication_matrix(BQForm(3, 2, -3), p)
     assert m == mat(4, 3, 3, 2)
     assert are_conjugate_gl2z(m, companion(p)) is None
 
     p = CharPoly(0, 1)
-    m = multiplication_matrix(form_to_ideal(BQForm(1, 0, 1)), p)
+    m = multiplication_matrix(BQForm(1, 0, 1), p)
     assert are_conjugate_gl2z(m, mat(0, -1, 1, 0)) is not None
 
 
 def test_multiplication_matrix_disc_guard():
     with pytest.raises(SolgenusError):
-        multiplication_matrix(form_to_ideal(BQForm(1, 6, -1)), CharPoly(3, 1))
+        multiplication_matrix(BQForm(1, 6, -1), CharPoly(3, 1))
 
 
 def test_lm_representatives_examples():

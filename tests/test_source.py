@@ -2,7 +2,12 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +31,14 @@ def test_benchmark_tracer_layers_resolve():
     from solgenus.forms import FormClassSet
 
     assert {"reps", "class_members"} <= set(FormClassSet.__dataclass_fields__)
+
+
+@pytest.mark.parametrize(
+    "script", [["rigidity_census.py", "--tmax", "10"], ["genus2_walkthrough.py", "--bound", "5", "--mmax", "8"]]
+)
+def test_scripts_run(script):
+    # the scripts are library callers that no other test imports
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    path = ROOT / "scripts" / script[0]
+    done = subprocess.run([sys.executable, str(path), *script[1:]], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
