@@ -7,9 +7,11 @@ monodromy matrices whose groups share every finite quotient but are not
 isomorphic.  This script prints the whole evidence chain.
 """
 import argparse
+import sys
 
 from solgenus import (
     CharPoly,
+    SolgenusError,
     brute_force_conjugator,
     class_set,
     format_matrix,
@@ -62,4 +64,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (SolgenusError, ValueError) as e:
+        # the same one-line error and exit status as the solgenus CLI
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)

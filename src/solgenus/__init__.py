@@ -9,7 +9,7 @@ from .conjugacy import (
     are_conjugate_mod_m,
     brute_force_conjugator,
     canonical_form,
-    matrix_to_form,
+    class_key,
     modular_table,
     profinite_evidence,
 )

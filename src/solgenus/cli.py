@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .conjugacy import are_conjugate_gl2z, modular_table
+from .conjugacy import are_conjugate_gl2z, canonical_form, class_key, modular_table
 from .errors import SolgenusError
 from .forms import EquivMode, class_set
 from .genus import GenusReport, TheoremBranch, branch_of, genus, survey_rows
@@ -210,24 +210,14 @@ def _cmd_enumerate(args) -> str:
 def _cmd_conj(args) -> str:
     a = parse_matrix(args.matrix_a)
     b = parse_matrix(args.matrix_b)
-    pa, pb = char_poly(a), char_poly(b)
-    if pa != pb:
-        report = {
-            "matrix_a": _mat(a),
-            "matrix_b": _mat(b),
-            "conjugate": False,
-            "witness": None,
-            "reason": "characteristic polynomials differ",
-        }
-    else:
-        w = are_conjugate_gl2z(a, b)
-        report = {
-            "matrix_a": _mat(a),
-            "matrix_b": _mat(b),
-            "conjugate": w is not None,
-            "witness": None if w is None else _mat(w.P),
-            "reason": None,
-        }
+    w = are_conjugate_gl2z(a, b)  # None for unequal characteristic polynomials
+    report = {
+        "matrix_a": _mat(a),
+        "matrix_b": _mat(b),
+        "conjugate": w is not None,
+        "witness": None if w is None else _mat(w.P),
+        "reason": None if char_poly(a) == char_poly(b) else "characteristic polynomials differ",
+    }
     return render(report, args.format)
 
 
@@ -267,19 +257,21 @@ def _cmd_canonical(args) -> str:
     branch = branch_of(p)
     target = conjugator = note = None
     if branch is TheoremBranch.MAIN_QUADRATIC:
-        for rep in lm_representatives(p).reps:
-            w = are_conjugate_gl2z(m, rep)
-            if w is not None:
-                target, conjugator = rep, w.P
-                break
+        reps = lm_representatives(p)
+        classes = class_set(reps.disc)
+        key = class_key(m, classes)
+        target = next((r for r in reps.reps if class_key(r, classes) == key), None)
+        if target is not None:
+            w = are_conjugate_gl2z(m, target)
+            if w is None:
+                raise SolgenusError(f"{target} shares the class key of the input but no conjugator")
+            conjugator = w.P
         else:
             note = (
                 "not conjugate to any enumerated representative: the fixed lattice "
                 "is a module over a strictly larger order (conductor > 1 case)"
             )
     else:
-        from .conjugacy import canonical_form
-
         target, conjugator = canonical_form(m)
     verified = conjugator is not None and (conjugator * m == target * conjugator)
     report = {

@@ -1,12 +1,15 @@
-"""GL2(Z)-conjugacy decisions, exhaustive search oracles, and mod-m witnesses.
+"""GL2(Z)-conjugacy decisions, class keys, exhaustive search oracles, and mod-m witnesses.
 
 The irreducible case is decided through binary quadratic forms: the
 fixed-line form of A = [[p, q], [r, s]] is F_A = (r, s - p, -q), and
 conjugating A by V^-1 transforms F_A by the determinant-twisted substitution
 implemented in :mod:`solgenus.forms`.  Matrices with equal irreducible
-characteristic polynomial are conjugate exactly when their fixed forms are
-equivalent under that action, and the form transformation converts directly
-into a conjugator, which is verified before being returned.
+characteristic polynomial are conjugate exactly when their fixed forms have
+the same content and are equivalent under that action.  A reduced form (D < 0)
+or reduced cycle (D > 0) tells its class (Buchmann-Vollmer, Binary Quadratic
+Forms, ch. 6), so :func:`class_key` decides conjugacy with one reduction per
+matrix, and :func:`are_conjugate_gl2z` turns the form transformation into a
+conjugator, which is verified before being returned.
 
 Degenerate spectra (discriminant 0 or 4) are decided by exact integral
 normal forms: [[e, k], [0, e]] for repeated eigenvalue e with k >= 0, and
@@ -24,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateSpectrum, SolgenusError
-from .forms import _FLIP, BQForm, forms_equivalent
-from .matrices import IntMat2, char_poly, is_square
+from .forms import _FLIP, BQForm, FormClassSet, class_set, forms_equivalent
+from .matrices import IntMat2, char_poly
 from .orders import factor
 
 # largest prime-power part q of a modulus that the GL2(Z/q) scan accepts: the
@@ -98,17 +101,24 @@ def _fixed_form(m: IntMat2) -> tuple[int, int, BQForm]:
     return g, sign, BQForm(sign * a // g, sign * b // g, sign * c // g)
 
 
-def matrix_to_form(m: IntMat2) -> BQForm:
-    """Primitive fixed-line form of a matrix with irreducible characteristic polynomial.
+def class_key(m: IntMat2, classes: FormClassSet | None = None) -> tuple[int, int]:
+    """(content, improper class index of the fixed form in class_set(D / content^2)).
 
-    This is the form that decides GL2(Z)-conjugacy in :func:`are_conjugate_gl2z`,
-    sign-normalized to the positive definite representative when the
-    discriminant is negative.
+    Matrices with one irreducible characteristic polynomial are
+    GL2(Z)-conjugate exactly when their keys are equal.  For D < 0 a negative
+    definite fixed form is keyed by the class of (a, -b, c), the det -1 step
+    that :func:`are_conjugate_gl2z` takes.  ``classes``, the class set of D
+    when the caller holds it, spares factoring D for content 1.
     """
     p = char_poly(m)
-    if p.disc == 0 or is_square(p.disc):
+    if p.disc in (0, 4):
         raise DegenerateSpectrum(f"{p} is reducible; no nondegenerate fixed form")
-    return _fixed_form(m)[2]
+    g, sign, q = _fixed_form(m)
+    if sign < 0:
+        q = BQForm(q.a, -q.b, q.c)
+    if classes is None or g > 1:
+        classes = class_set(q.disc)
+    return g, classes.class_index_of(q)
 
 
 # ---------------------------------------------------------------------------

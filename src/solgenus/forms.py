@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DiscriminantMismatch, ImprimitiveForm, SolgenusError
 from .matrices import IntMat2, is_square
@@ -310,10 +310,15 @@ class FormClassSet:
             key = reduce_definite(q).triple()
         else:
             key = _reduce_indefinite(q.triple(), self.disc.D)[0]
-        for i, members in enumerate(self.class_members):
-            if key in members:
-                return i
-        raise SolgenusError(f"reduced form {key} missing from class set of {self.disc.D}")
+        i = self._class_of.get(key)
+        if i is None:
+            raise SolgenusError(f"reduced form {key} missing from class set of {self.disc.D}")
+        return i
+
+    @cached_property
+    def _class_of(self) -> dict[tuple[int, int, int], int]:
+        """Class index of every reduced triple; built on the first lookup."""
+        return {f: i for i, members in enumerate(self.class_members) for f in members}
 
 
 @lru_cache(maxsize=None)

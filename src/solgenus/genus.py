@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .conjugacy import (
     BruteSearchResult,
@@ -22,9 +23,11 @@ from .conjugacy import (
     are_conjugate_gl2z,
     brute_force_conjugator,
     canonical_form,
+    class_key,
     profinite_evidence,
 )
-from .forms import EquivMode, class_count
+from .errors import SolgenusError
+from .forms import EquivMode, class_count, class_set
 from .ideals import LMSet, companion, lm_representatives
 from .matrices import CharPoly, GeometryLabel, IntMat2, char_poly, geometry, is_square
 from .orders import OrderDisc, order_disc
@@ -130,26 +133,27 @@ def presentation(m: IntMat2) -> str:
 
 
 def _pair_evidence(reps: LMSet, level: str) -> Evidence:
+    classes = class_set(reps.disc)
+    keys = [class_key(m, classes) for m in reps.reps]
     pairs = []
-    n = reps.count
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = reps.reps[i], reps.reps[j]
-            w = are_conjugate_gl2z(a, b)
-            brute = modular = None
-            if level == "full":
-                brute = brute_force_conjugator(a, b, 50)
-                modular = profinite_evidence(a, b, 30)
-            pairs.append(PairEvidence(i, j, w, brute, modular))
+    for (i, a), (j, b) in combinations(enumerate(reps.reps), 2):
+        w = are_conjugate_gl2z(a, b) if keys[i] == keys[j] else None
+        if w is None and keys[i] == keys[j]:
+            raise SolgenusError(f"representatives {i} and {j} share a class key but no conjugator")
+        brute = modular = None
+        if level == "full":
+            brute = brute_force_conjugator(a, b, 50)
+            modular = profinite_evidence(a, b, 30)
+        pairs.append(PairEvidence(i, j, w, brute, modular))
     return Evidence(level, tuple(pairs))
 
 
 def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
     """Full genus report for the monodromy m; see module docstring for routing.
 
-    evidence_level: "none", "fast" (pairwise form-based verdicts), or "full"
-    (adds a bound-50 exhaustive conjugator scan and a mod-m witness table up
-    to 30 for every pair of representatives).
+    evidence_level: "none", "fast" (a GL2(Z) verdict for every pair from one
+    class key per representative), or "full" (adds a bound-50 exhaustive
+    conjugator scan and a mod-m witness table up to 30 for every pair).
     """
     if evidence_level not in ("none", "fast", "full"):
         raise ValueError(f"unknown evidence level {evidence_level!r}")

@@ -71,14 +71,6 @@ def lm_representatives(p: CharPoly) -> LMSet:
     od = order_disc(p)
     cs = class_set(od, EquivMode.IMPROPER)
     principal_idx = cs.class_index_of(principal_form(od.D))
-    order_of_classes = [principal_idx] + [i for i in range(cs.count) if i != principal_idx]
-    reps: list[IntMat2] = []
-    forms: list[BQForm] = []
-    for rank, i in enumerate(order_of_classes):
-        q = cs.reps[i]
-        if rank == 0:
-            reps.append(companion(p))
-        else:
-            reps.append(multiplication_matrix(q, p))
-        forms.append(q)
-    return LMSet(p, od, tuple(reps), tuple(forms))
+    forms = (cs.reps[principal_idx],) + tuple(q for i, q in enumerate(cs.reps) if i != principal_idx)
+    reps = (companion(p),) + tuple(multiplication_matrix(q, p) for q in forms[1:])
+    return LMSet(p, od, reps, forms)

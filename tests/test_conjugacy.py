@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from solgenus import (
+    BQForm,
     CharPoly,
     ConjugacyWitness,
     DegenerateSpectrum,
@@ -13,11 +14,13 @@ from solgenus import (
     brute_force_conjugator,
     canonical_form,
     char_poly,
+    class_key,
     lm_representatives,
-    matrix_to_form,
     profinite_evidence,
 )
 from helpers import mat, random_unimodular, unimodular_box
+from solgenus.conjugacy import _fixed_form
+from solgenus.matrices import is_square
 
 
 def planted_pair(rng, base):
@@ -26,25 +29,59 @@ def planted_pair(rng, base):
 
 
 def test_matrix_to_form_examples():
-    assert matrix_to_form(mat(0, -1, 1, 3)).triple() == (1, 3, 1)
-    assert matrix_to_form(mat(0, 1, 1, 6)).triple() == (1, 6, -1)
-    assert matrix_to_form(mat(0, -1, 1, 0)).triple() == (1, 0, 1)
+    assert _fixed_form(mat(0, -1, 1, 3)) == (1, 1, BQForm(1, 3, 1))
+    assert _fixed_form(mat(0, 1, 1, 6)) == (1, 1, BQForm(1, 6, -1))
+    assert _fixed_form(mat(0, -1, 1, 0)) == (1, 1, BQForm(1, 0, 1))
+    assert _fixed_form(mat(0, 1, -1, 0)) == (1, -1, BQForm(1, 0, 1))
+    assert _fixed_form(mat(1, 2, 2, 3)) == (2, 1, BQForm(1, 1, -1))
     with pytest.raises(DegenerateSpectrum):
-        matrix_to_form(mat(1, 1, 0, 1))
+        class_key(mat(1, 1, 0, 1))
 
 
 def test_matrix_to_form_conjugation_covariant():
     rng = random.Random(5150)
+    checked = 0
     for _ in range(300):
         a = random_unimodular(rng, 8)
         if char_poly(a).disc in (0, 4):
             continue
         p = random_unimodular(rng)
-        q1 = matrix_to_form(a)
-        q2 = matrix_to_form(p * a * p.inverse())
-        from solgenus import EquivMode, forms_equivalent
+        assert class_key(p * a * p.inverse()) == class_key(a)
+        checked += 1
+    assert checked > 100
 
-        assert forms_equivalent(q1, q2, EquivMode.IMPROPER) is not None
+
+def test_class_key_agrees_with_decision_on_box():
+    # every ordered pair of distinct box matrices with one nondegenerate
+    # polynomial, D < 0 pairs whose fixed forms have opposite signs included
+    # (for det +-1, D < 0 is -3 or -4, one class each)
+    groups = {}
+    for m in unimodular_box(4):
+        p = char_poly(m)
+        if p.disc != 0 and not is_square(p.disc):
+            groups.setdefault(p, []).append(m)
+    pairs = signs = 0
+    for ms in groups.values():
+        keys = [class_key(m) for m in ms]
+        signs += len({_fixed_form(m)[1] for m in ms}) == 2
+        for a, ka in zip(ms, keys):
+            for b, kb in zip(ms, keys):
+                if a == b:
+                    continue
+                assert (ka == kb) == (are_conjugate_gl2z(a, b) is not None), (a, b)
+                pairs += 1
+    assert pairs == 2938 and signs > 0
+
+
+def test_class_key_invariant_under_random_conjugation():
+    rng = random.Random(4242)
+    bases = [mat(0, -1, 1, 3), mat(6, 1, 1, 0), mat(0, -1, 1, 0), mat(-2, 1, -3, 1), mat(1, 2, 2, 3), mat(4, 3, 3, 2)]
+    bases += lm_representatives(CharPoly(35, 1)).reps
+    for base in bases:
+        key = class_key(base)
+        for _ in range(40):
+            p = random_unimodular(rng, 10)
+            assert class_key(p * base * p.inverse()) == key
 
 
 def test_self_conjugacy_identity_witness():

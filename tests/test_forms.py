@@ -237,6 +237,26 @@ def test_reduction_guard_raises_domain_error(monkeypatch):
         _reduce_indefinite((1, 0, -10), 40)
 
 
+def test_class_index_of_matches_member_scan():
+    # the lookup against a scan of class_members, on every reduced form and on
+    # a random transform of every class representative
+    rng = random.Random(2000)
+    discs = _valid_discriminants(-2000, 2000)
+    assert len(discs) == 1_956
+    for D in discs:
+        for mode in EquivMode:
+            cs = class_set(D, mode)
+            forms_of = [BQForm(*f) for f in sorted(f for m in cs.class_members for f in m)]
+            for q in cs.reps:
+                u = random_unimodular(rng)
+                # a det -1 step would leave the positive definite carrier
+                forms_of.append(q.transform(u if D > 0 or u.det() == 1 else u * IntMat2(1, 0, 0, -1)))
+            for q in forms_of:
+                key = reduce_definite(q).triple() if D < 0 else _reduce_indefinite(q.triple(), D)[0]
+                scan = [i for i, members in enumerate(cs.class_members) if key in members]
+                assert scan == [cs.class_index_of(q)], (D, mode, q)
+
+
 def test_class_set_reps_are_reduced_and_distinct():
     cs = class_set(40, EquivMode.IMPROPER)
     assert len(set(cs.reps)) == cs.count

@@ -182,6 +182,40 @@ def test_genus_factors_discriminant_a_fixed_number_of_times(monkeypatch):
     assert len(calls) <= 2
 
 
+def test_fast_evidence_makes_one_key_per_representative(monkeypatch):
+    import importlib
+
+    from solgenus.forms import _class_set_cached
+    from solgenus.ideals import companion
+
+    # import_module, since the package attribute solgenus.genus is the function
+    names = ("orders", "forms", "ideals", "genus", "conjugacy")
+    modules = [importlib.import_module(f"solgenus.{name}") for name in names]
+    factored, decided = [], []
+    original = modules[0].disc_from_int
+
+    def counted(D):
+        factored.append(D)
+        return original(D)
+
+    def decision(a, b):
+        decided.append((a, b))
+        return None
+
+    for module in modules:
+        if hasattr(module, "disc_from_int"):
+            monkeypatch.setattr(module, "disc_from_int", counted)
+        if hasattr(module, "are_conjugate_gl2z"):
+            monkeypatch.setattr(module, "are_conjugate_gl2z", decision)
+    _class_set_cached.cache_clear()
+    report = genus(companion(CharPoly(1026, -1)))
+    n = report.representatives.count
+    assert n > 90 and len(report.evidence.pairs) == n * (n - 1) // 2
+    # distinct keys need no decision; D and D0 are factored once each
+    assert decided == []
+    assert len(factored) <= 2
+
+
 def test_survey_rows_match_genus_reports():
     from solgenus.genus import survey_rows
     from solgenus.ideals import companion

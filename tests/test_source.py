@@ -34,11 +34,21 @@ def test_benchmark_tracer_layers_resolve():
 
 
 @pytest.mark.parametrize(
-    "script", [["rigidity_census.py", "--tmax", "10"], ["genus2_walkthrough.py", "--bound", "5", "--mmax", "8"]]
+    "script",
+    [
+        (["rigidity_census.py", "--tmax", "10"], 0),
+        (["genus2_walkthrough.py", "--bound", "5", "--mmax", "8"], 0),
+        # modulus 59 is past the scan limit: one error line, as from the CLI
+        (["genus2_walkthrough.py", "--bound", "1", "--mmax", "60"], 1),
+    ],
 )
 def test_scripts_run(script):
     # the scripts are library callers that no other test imports
+    (name, *argv), code = script
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    path = ROOT / "scripts" / script[0]
-    done = subprocess.run([sys.executable, str(path), *script[1:]], env=env, capture_output=True)
-    assert done.returncode == 0, done.stderr.decode()
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv], env=env, capture_output=True)
+    stderr = done.stderr.decode()
+    assert done.returncode == code, stderr
+    assert "Traceback" not in stderr
+    if code:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
