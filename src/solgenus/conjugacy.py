@@ -16,6 +16,13 @@ normal forms: [[e, k], [0, e]] for repeated eigenvalue e with k >= 0, and
 for trace 0 / det -1 one of [[0, 1], [1, 0]] or [[1, 0], [0, -1]] depending
 on whether the two eigenlines span the lattice (equivalently, whether the
 matrix is the identity mod 2; the two types are already non-conjugate mod 2).
+
+The two oracles use no reduction theory.  The solutions P of P*A = B*P form
+a lattice, and its solutions mod q a lattice containing qZ^4; each has an
+echelon basis from unimodular row operations (Cohen, GTM 138, sec. 2.4).
+:func:`brute_force_conjugator` walks the points of the first inside a box
+and :func:`_modular_scan` those of the second with entries in [0, q), both
+in lexicographic order, up to the first unit determinant.
 """
 from __future__ import annotations
 
@@ -24,15 +31,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DegenerateSpectrum, SolgenusError
 from .forms import _FLIP, BQForm, FormClassSet, class_set, forms_equivalent
 from .matrices import IntMat2, char_poly
 from .orders import factor
 
-# largest prime-power part q of a modulus that the GL2(Z/q) scan accepts: the
-# scan builds q^4-cell int64 grids, and q = 53 already peaks near 634 MB
+# largest prime-power part q of a modulus that the GL2(Z/q) scan accepts.  The
+# lattice walk builds no grid: over q <= 53 its slowest level measured 28 ms
+# (q = 32, A = B = [[16, 16], [0, 0]], 2-core x86-64 VM), a refuted level
+# under 1 ms.  Raising the limit changes which moduli are refused.
 MAX_SCAN_PRIME_POWER = 53
 
 
@@ -269,38 +276,108 @@ def are_conjugate_gl2z(a: IntMat2, b: IntMat2) -> ConjugacyWitness | None:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive conjugator scan (independent oracle)
+# Exhaustive conjugator scans (independent oracles): lattice walks
 # ---------------------------------------------------------------------------
+
+
+def _echelon(rows: list[list[int]]) -> list[list[int]]:
+    """Row echelon basis of the Z-span of ``rows``: unimodular row operations,
+    positive pivots, zero rows dropped (Cohen, GTM 138, sec. 2.4)."""
+    out = []
+    for col in range(len(rows[0])):
+        pivot, rest = None, []
+        for r in rows:
+            if r[col] == 0:
+                rest.append(r)
+            elif pivot is None:
+                pivot = r
+            else:
+                g, s, t = _xgcd(pivot[col], r[col])
+                u, v = pivot[col] // g, r[col] // g
+                pivot, r = [s * x + t * y for x, y in zip(pivot, r)], [u * y - v * x for x, y in zip(pivot, r)]
+                rest.append(r)
+        if pivot is not None:
+            out.append(pivot if pivot[col] > 0 else [-x for x in pivot])
+        rows = rest
+    return out
+
+
+def _diagonal(k: int) -> list[list[int]]:
+    return [[k * (i == j) for j in range(4)] for i in range(4)]
+
+
+def _det(x: Sequence[int]) -> int:
+    return x[0] * x[3] - x[1] * x[2]
+
+
+def _solution_basis(a_ent: tuple, b_ent: tuple, q: int = 0) -> list[list[int]]:
+    """Echelon basis of {x in Z^4 : P*A = B*P (mod q)}, x = (p11, p12, p21, p22).
+
+    q = 0 asks for the exact solutions.  Writing P*A - B*P as M x, the rows
+    (M e_i, e_i), together with (q e_i, 0), span {(M x + q z, x)}; the echelon
+    rows whose first half is zero are a basis of the x with M x = 0 (mod q).
+    """
+    a11, a12, a21, a22 = a_ent
+    b11, b12, b21, b22 = b_ent
+    m = (
+        (a11 - b11, a21, -b12, 0),
+        (a12, a22 - b11, 0, -b12),
+        (-b21, 0, a11 - b22, a21),
+        (0, -b21, a12, a22 - b22),
+    )
+    rows = [[m[j][i] for j in range(4)] + e for i, e in enumerate(_diagonal(1))]
+    rows += [e + [0] * 4 for e in _diagonal(q) if q]
+    return [r[4:] for r in _echelon(rows) if not any(r[:4])]
+
+
+def _lex_first(basis: list[list[int]], lo: int, hi: int, accept) -> tuple | None:
+    """Lexicographically first lattice point x with every entry in [lo, hi] and
+    accept(x), or None; requires lo <= 0 <= hi.
+
+    With ``basis`` in echelon form and positive pivots, lex order of points is
+    lex order of their coefficients.  The walk takes each coefficient in
+    ascending order, within the bounds of the entries it fixes: those from its
+    pivot up to the next pivot, or to the end for the last coefficient.
+    """
+    pivots = [next(k for k, v in enumerate(row) if v) for row in basis] + [4]
+
+    def walk(j: int, x: list[int]) -> tuple | None:
+        if j == len(basis):
+            return tuple(x) if accept(x) else None
+        row, clo, chi = basis[j], -math.inf, math.inf
+        for k in range(pivots[j], pivots[j + 1]):
+            v, y = row[k], x[k]
+            if v == 0:
+                if not lo <= y <= hi:
+                    return None
+                continue
+            lo_k, hi_k = (lo - y, hi - y) if v > 0 else (y - hi, y - lo)
+            v = abs(v)
+            clo, chi = max(clo, -(-lo_k // v)), min(chi, hi_k // v)
+        for c in range(clo, chi + 1):
+            found = walk(j + 1, [xi + c * vi for xi, vi in zip(x, row)])
+            if found is not None:
+                return found
+        return None
+
+    return walk(0, [0, 0, 0, 0])
 
 
 def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchResult:
     """Scan all P with entries in [-bound, bound] for P*A = B*P, det P = +-1.
 
     Returns the lexicographically first witness (ordered by entries
-    (p11, p12, p21, p22)) or a bound-labeled miss.  Vectorized with int64;
-    requires bound * max|entry| < 2^60.
+    (p11, p12, p21, p22)) or a bound-labeled miss.  The scan walks the box
+    points of the exact solution lattice of P*A = B*P, with no reduction
+    theory; the supported domain is bound * max|entry| < 2^60.
     """
     char_poly(a), char_poly(b)
     maxent = max(abs(x) for x in _entries(a) + _entries(b))
     if bound < 1 or bound * max(maxent, 1) >= 2**60:
         raise SolgenusError("scan bound out of supported range")
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    qg, rg, sg = np.meshgrid(rng, rng, rng, indexing="ij")
-    qg, rg, sg = qg.ravel(), rg.ravel(), sg.ravel()
-    a11, a12, a21, a22 = a.a, a.b, a.c, a.d
-    b11, b12, b21, b22 = b.a, b.b, b.c, b.d
-    for p11 in rng:
-        e1 = p11 * a11 + qg * a21 - (b11 * p11 + b12 * rg)
-        e2 = p11 * a12 + qg * a22 - (b11 * qg + b12 * sg)
-        e3 = rg * a11 + sg * a21 - (b21 * p11 + b22 * rg)
-        e4 = rg * a12 + sg * a22 - (b21 * qg + b22 * sg)
-        det = p11 * sg - qg * rg
-        mask = (np.abs(det) == 1) & (e1 == 0) & (e2 == 0) & (e3 == 0) & (e4 == 0)
-        if mask.any():
-            i = int(np.argmax(mask))
-            p = IntMat2(int(p11), int(qg[i]), int(rg[i]), int(sg[i]))
-            return BruteSearchResult(ConjugacyWitness(p, a, b), bound)
-    return BruteSearchResult(None, bound)
+    basis = _solution_basis(_entries(a), _entries(b))
+    x = _lex_first(basis, -bound, bound, lambda x: _det(x) in (1, -1))
+    return BruteSearchResult(None if x is None else ConjugacyWitness(IntMat2(*x), a, b), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +385,36 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _image_has_unit(basis: list[list[int]], p: int) -> bool:
+    """Whether the lattice spanned by ``basis`` holds a matrix with det prime to p.
+
+    Its image mod p is spanned by the pivot-1 rows of the echelon form of the
+    lattice plus pZ^4.  A subspace of singular 2x2 matrices has dimension at
+    most 2, so dimension 3 or more holds a unit.  On the span of u and v, det
+    is the binary form det(u) s^2 + b st + det(v) t^2 with
+    det(u + v) = det(u) + b + det(v), so it vanishes there only if it vanishes
+    at u, v and u + v.
+    """
+    rows = _echelon(basis + _diagonal(p))
+    gens = [r for r in rows if next(v for v in r if v) == 1]
+    if len(gens) > 2:
+        return True
+    tries = gens + [[x + y for x, y in zip(*gens)]] if len(gens) == 2 else gens
+    return any(_det(x) % p for x in tries)
+
+
+@lru_cache(maxsize=1024)
 def _modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
-    """First P (lex order) in GL2(Z/q) with P*A = B*P mod q; q = p^k."""
-    a11, a12, a21, a22 = a_ent
-    b11, b12, b21, b22 = b_ent
-    grid = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1)
-    p11, p12, p21, p22 = grid
-    e1 = (p11 * a11 + p12 * a21 - b11 * p11 - b12 * p21) % q
-    e2 = (p11 * a12 + p12 * a22 - b11 * p12 - b12 * p22) % q
-    e3 = (p21 * a11 + p22 * a21 - b21 * p11 - b22 * p21) % q
-    e4 = (p21 * a12 + p22 * a22 - b21 * p12 - b22 * p22) % q
-    det = (p11 * p22 - p12 * p21) % p
-    mask = (det != 0) & (e1 == 0) & (e2 == 0) & (e3 == 0) & (e4 == 0)
-    if not mask.any():
+    """First P (lex order) in GL2(Z/q) with P*A = B*P mod q; q = p^k.
+
+    The solutions form a lattice containing qZ^4, whose echelon pivots divide
+    q; the walk visits its points with entries in [0, q).  Whether any has a
+    unit determinant is decided mod p first, so a refuted level is not walked.
+    """
+    basis = _solution_basis(a_ent, b_ent, q)
+    if not _image_has_unit(basis, p):
         return None
-    i = int(np.argmax(mask))
-    return (int(p11[i]), int(p12[i]), int(p21[i]), int(p22[i]))
+    return _lex_first(basis, 0, q - 1, lambda x: _det(x) % p)
 
 
 def _crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -19,8 +19,10 @@ from solgenus import (
     profinite_evidence,
 )
 from helpers import mat, random_unimodular, unimodular_box
-from solgenus.conjugacy import _fixed_form
+from reference_scans import box_scan, modular_scan, monolithic_scan
+from solgenus.conjugacy import _fixed_form, _modular_scan
 from solgenus.matrices import is_square
+from solgenus.orders import factor
 
 
 def planted_pair(rng, base):
@@ -202,6 +204,84 @@ def test_brute_force_lexicographic_first():
     assert res.witness.P.a == -2
 
 
+def _box_pairs():
+    """Every ordered pair of unimodular_box(3) matrices with one characteristic
+    polynomial (discriminants 0 and 4 and +-I included), then 300 pairs with
+    unequal polynomials."""
+    box = unimodular_box(3)
+    groups = {}
+    for m in box:
+        groups.setdefault(char_poly(m), []).append(m)
+    same = [(a, b) for ms in groups.values() for a in ms for b in ms]
+    rng = random.Random(8086)
+    other = []
+    while len(other) < 300:
+        a, b = rng.choice(box), rng.choice(box)
+        if char_poly(a) != char_poly(b):
+            other.append((a, b))
+    return same, other
+
+
+def _lm_pairs():
+    # the benchmark's evidence cells, then the two conductor cells of ROADMAP D
+    cells = ((6, -1), (8, 1), (9, -1), (10, -1), (12, 1), (12, -1), (35, 1))
+    return [(a, b) for t, n in cells for reps in [lm_representatives(CharPoly(t, n)).reps] for a in reps for b in reps]
+
+
+def _assert_box_witness_matches_grid(a, b, bound):
+    got = brute_force_conjugator(a, b, bound).witness
+    assert (None if got is None else got.P) == box_scan(a, b, bound), (a, b, bound)
+
+
+def test_box_scan_matches_numpy_grid():
+    same, other = _box_pairs()
+    assert len(same) == 3942
+    assert {char_poly(a).disc for a, _ in same} >= {0, 4}
+    assert (IntMat2.identity(), IntMat2.identity()) in same and (mat(-1, 0, 0, -1), mat(-1, 0, 0, -1)) in same
+    for bound in (1, 2, 5):
+        for a, b in same + other:
+            _assert_box_witness_matches_grid(a, b, bound)
+    for a, b in same[::10] + other[::5]:
+        _assert_box_witness_matches_grid(a, b, 12)
+
+
+def test_box_scan_matches_numpy_grid_on_representatives():
+    for a, b in _lm_pairs():
+        for bound in (1, 2, 5, 12):
+            _assert_box_witness_matches_grid(a, b, bound)
+
+
+def _entries_mod(m, q):
+    return tuple(x % q for x in (m.a, m.b, m.c, m.d))
+
+
+def test_modular_scan_matches_numpy_grid():
+    # every prime power q <= 53; the grids of q > 27 are large, so those
+    # levels take one pair each, in turn
+    same, other = _box_pairs()
+    pairs = same[::400] + other[::60] + _lm_pairs()[::6]
+    levels = [(q, f[0][0]) for q in range(2, 54) if len(f := factor(q)) == 1]
+    assert levels[-1] == (53, 53)
+    for i, (q, p) in enumerate(levels):
+        for a, b in pairs if q <= 27 else [pairs[i % len(pairs)]]:
+            ae, be = _entries_mod(a, q), _entries_mod(b, q)
+            assert _modular_scan(ae, be, q, p) == modular_scan(ae, be, q, p), (a, b, q)
+
+
+@pytest.mark.parametrize("q, p", [(4, 2), (8, 2), (16, 2), (32, 2), (9, 3), (27, 3), (25, 5), (49, 7)])
+def test_modular_scan_matches_numpy_grid_near_identity(q, p):
+    # A = I + (q/p) X and B = I + (q/p) Y are scalar mod q/p, so the solution
+    # module is large; X = [[0, 1], [0, 0]] against Y = 0 is a refuted level
+    shifts = ((0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, -1), (0, 1, 1, 0))
+    pairs = list(product(shifts, repeat=2)) if q < 32 else [(shifts[1], shifts[0])] + [(x, x) for x in shifts[1:]]
+    k = q // p
+    for x, y in pairs:
+        ae = tuple((int(i in (0, 3)) + k * v) % q for i, v in enumerate(x))
+        be = tuple((int(i in (0, 3)) + k * v) % q for i, v in enumerate(y))
+        assert _modular_scan(ae, be, q, p) == modular_scan(ae, be, q, p), (x, y)
+    assert _modular_scan((1, k % q, 0, 1), (1, 0, 0, 1), q, p) is None
+
+
 def test_brute_vs_forms_agreement_small_box():
     boxed = unimodular_box(2)
     groups = {}
@@ -263,32 +343,8 @@ def test_mod_m_crt_agrees_with_monolithic_scan():
             crt_w = are_conjugate_mod_m(a, b, m)
             ae = tuple(x % m for x in (a.a, a.b, a.c, a.d))
             be = tuple(x % m for x in (b.a, b.b, b.c, b.d))
-            mono = _monolithic_scan(ae, be, m)
+            mono = monolithic_scan(ae, be, m)
             assert (crt_w is not None) == (mono is not None), (a, b, m)
-
-
-def _monolithic_scan(ae, be, m):
-    import math as _math
-
-    import numpy as np
-
-    a11, a12, a21, a22 = ae
-    b11, b12, b21, b22 = be
-    grid = np.indices((m, m, m, m), dtype=np.int64).reshape(4, -1)
-    p11, p12, p21, p22 = grid
-    e1 = (p11 * a11 + p12 * a21 - b11 * p11 - b12 * p21) % m
-    e2 = (p11 * a12 + p12 * a22 - b11 * p12 - b12 * p22) % m
-    e3 = (p21 * a11 + p22 * a21 - b21 * p11 - b22 * p21) % m
-    e4 = (p21 * a12 + p22 * a22 - b21 * p12 - b22 * p22) % m
-    det = p11 * p22 - p12 * p21
-    inv = np.array([_math.gcd(int(x) % m, m) == 1 for x in det])
-    mask = inv & (e1 == 0) & (e2 == 0) & (e3 == 0) & (e4 == 0)
-    if not mask.any():
-        return None
-    import numpy as _np
-
-    i = int(_np.argmax(mask))
-    return (int(p11[i]), int(p12[i]), int(p21[i]), int(p22[i]))
 
 
 def test_profinite_evidence():

@@ -33,6 +33,15 @@ def test_benchmark_tracer_layers_resolve():
     assert {"reps", "class_members"} <= set(FormClassSet.__dataclass_fields__)
 
 
+def test_cli_import_does_not_load_numpy():
+    # numpy is a test dependency only; the CLI's import time is paid on every run
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys, solgenus.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "script",
     [
