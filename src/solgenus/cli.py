@@ -307,9 +307,9 @@ def _cmd_survey(args) -> str:
 
 _MATRIX_HELP = 'matrix as "a b; c d" (commas optional) or JSON [[a,b],[c,d]]'
 _LIMITS = (
-    "Discriminants are factored by trial division (fine to |D| ~ 1e12); "
-    "class enumeration takes under 1 s to about |D| ~ 2e9 (D > 0) and 5e10 "
-    "(D < 0), and under 10 s to about 1e11 (D > 0) and 1e12 (D < 0)."
+    "Discriminants are factored by trial division, so |D| > 1e12 is refused "
+    "(exit 1); class enumeration takes under 1 s to about |D| ~ 2e9 (D > 0) "
+    "and 5e10 (D < 0), and under 10 s to about 1e11 (D > 0)."
 )
 
 

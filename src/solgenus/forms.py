@@ -22,7 +22,7 @@ fact that ordinary and narrow class numbers agree for imaginary fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -95,15 +95,6 @@ def _opposite(f: tuple[int, int, int]) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # Definite reduction (D < 0, a > 0)
 # ---------------------------------------------------------------------------
-
-
-def _is_reduced_definite(f: tuple[int, int, int]) -> bool:
-    a, b, c = f
-    if not (abs(b) <= a <= c):
-        return False
-    if b < 0 and (abs(b) == a or a == c):
-        return False
-    return True
 
 
 def _reduce_definite(f: tuple[int, int, int]) -> tuple[tuple[int, int, int], IntMat2]:
@@ -296,7 +287,8 @@ class FormClassSet:
     disc: OrderDisc
     mode: EquivMode
     reps: tuple[BQForm, ...]
-    class_members: tuple[frozenset, ...]  # reduced triples per class, aligned with reps
+    # class index of every reduced triple; reps[i] is the least member of class i
+    class_of: dict[tuple[int, int, int], int] = field(compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -310,55 +302,52 @@ class FormClassSet:
             key = reduce_definite(q).triple()
         else:
             key = _reduce_indefinite(q.triple(), self.disc.D)[0]
-        i = self._class_of.get(key)
+        i = self.class_of.get(key)
         if i is None:
             raise SolgenusError(f"reduced form {key} missing from class set of {self.disc.D}")
         return i
 
     @cached_property
-    def _class_of(self) -> dict[tuple[int, int, int], int]:
-        """Class index of every reduced triple; built on the first lookup."""
-        return {f: i for i, members in enumerate(self.class_members) for f in members}
+    def class_members(self) -> tuple[frozenset, ...]:
+        """Reduced triples per class, aligned with ``reps``; built only when read.
+
+        Nothing in the package reads it.  The benchmark tracer
+        (``solbench/tracer.py``) counts ``forms.reduced_forms`` from it, so it
+        can go once the package counts its own work (ROADMAP A).
+        """
+        groups: list[list[tuple[int, int, int]]] = [[] for _ in self.reps]
+        for f, i in self.class_of.items():
+            groups[i].append(f)
+        return tuple(frozenset(g) for g in groups)
 
 
 @lru_cache(maxsize=None)
 def _class_set_cached(od: OrderDisc, mode: EquivMode) -> FormClassSet:
     D = od.D
     reduced = _reduced_forms(D)
-    if D < 0:
-        # each reduced positive definite form is one proper class; the twisted
-        # det -1 action leaves the positive definite carrier, so improper
-        # classes coincide with proper ones
-        classes = [frozenset([f]) for f in reduced]
-    else:
-        cycle_of: dict[tuple[int, int, int], int] = {}
-        cycles: list[list[tuple[int, int, int]]] = []
-        for f in reduced:
-            if f in cycle_of:
-                continue
-            # rho permutes the reduced forms, so no cycle is longer than their count
-            cyc = _cycle_raw(f, D, len(reduced))
-            for g in cyc:
-                cycle_of[g] = len(cycles)
-            cycles.append(cyc)
-        if cycle_of.keys() != set(reduced):
-            raise SolgenusError(f"the rho-cycles of disc {D} do not partition its reduced forms")
-        if mode is EquivMode.PROPER:
-            classes = [frozenset(c) for c in cycles]
+    class_of: dict[tuple[int, int, int], int] = {}
+    reps: list[BQForm] = []
+    for f in reduced:
+        if f in class_of:
+            continue
+        # ``reduced`` is sorted, so f is the least member of a class not met yet
+        if D < 0:
+            # each reduced positive definite form is one proper class; the twisted
+            # det -1 action leaves the positive definite carrier, so improper
+            # classes coincide with proper ones
+            members = [f]
         else:
-            merged: list[set] = []
-            seen: set[int] = set()
-            for i, cyc in enumerate(cycles):
-                if i in seen:
-                    continue
-                j = cycle_of[_opposite(cyc[0])]
-                seen.update({i, j})
-                members = set(cycles[i]) | set(cycles[j])
-                merged.append(members)
-            classes = [frozenset(c) for c in merged]
-    classes.sort(key=lambda members: min(members))
-    reps = tuple(BQForm(*min(members)) for members in classes)
-    return FormClassSet(od, mode, reps, tuple(classes))
+            # rho permutes the reduced forms, so no cycle is longer than their count
+            members = _cycle_raw(f, D, len(reduced))
+            if mode is EquivMode.IMPROPER and _opposite(f) not in members:
+                # the twist maps the cycle of f onto the cycle of its opposite
+                members += _cycle_raw(_opposite(f), D, len(reduced))
+        for g in members:
+            class_of[g] = len(reps)
+        reps.append(BQForm(*f))
+    if class_of.keys() != set(reduced):
+        raise SolgenusError(f"the classes of disc {D} do not partition its reduced forms")
+    return FormClassSet(od, mode, tuple(reps), class_of)
 
 
 def class_set(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> FormClassSet:

@@ -12,7 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, SolgenusError
 from .matrices import CharPoly, is_square
 
 # primes up to _prime_limit, grown on demand by primes_up_to and kept for reuse
@@ -66,7 +66,7 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] of n >= 1, p increasing.
 
-    Trial division up to sqrt(n); fine for desk-scale inputs (n <= ~1e12).
+    Trial division up to sqrt(n); fine for n up to about MAX_ABS_DISC.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -128,8 +128,15 @@ def _is_fundamental(d0: int) -> bool:
     return False
 
 
+# the largest |D| accepted, the range of trial division; the class sets of
+# such D still take seconds and a few hundred MB (README, "Scale limits")
+MAX_ABS_DISC = 10**12
+
+
 def disc_from_int(D: int) -> OrderDisc:
     """Validate an integer as an order discriminant and split off the conductor."""
+    if abs(D) > MAX_ABS_DISC:
+        raise SolgenusError(f"discriminant {D} is too large: |D| must be at most {MAX_ABS_DISC}")
     if D == 0 or is_square(D):
         raise DegenerateSpectrum(f"discriminant {D} is a perfect square")
     if D % 4 not in (0, 1):

@@ -1,10 +1,17 @@
-"""Reference enumerators of reduced forms: one trial division of (b^2 - D)/4 per b.
+"""Reference enumerators of reduced forms and of their partition into classes.
 
-These are the O(|D|) loops that ``solgenus.forms`` used before it factored all
-the (b^2 - D)/4 together by a sieve.  They are kept here, unchanged, as the
-reference for the differential tests in ``test_forms.py``.
+``reduced_forms`` and its two halves are the O(|D|) loops, one trial division
+of (b^2 - D)/4 per b, that ``solgenus.forms`` used before it factored all the
+(b^2 - D)/4 together by a sieve.  ``class_partition`` is the assembly of
+classes that ``solgenus.forms`` used before it indexed them in one pass: walk
+every rho-cycle, merge each with the cycle of its opposite, sort by least
+member.  Both are kept here, unchanged, as references for the differential
+tests in ``test_forms.py``.
 """
 import math
+
+from solgenus import EquivMode, SolgenusError
+from solgenus.forms import _cycle_raw, _opposite, _reduced_forms
 
 
 def reduced_definite_forms(D: int) -> list[tuple[int, int, int]]:
@@ -49,3 +56,37 @@ def reduced_indefinite_forms(D: int) -> list[tuple[int, int, int]]:
 
 def reduced_forms(D: int) -> list[tuple[int, int, int]]:
     return reduced_definite_forms(D) if D < 0 else reduced_indefinite_forms(D)
+
+
+def class_partition(D: int, mode: EquivMode) -> tuple[tuple[tuple[int, int, int], ...], tuple[frozenset, ...]]:
+    """(reps, classes): the reduced triples of each class, sorted by least member, and those least members."""
+    reduced = _reduced_forms(D)
+    if D < 0:
+        classes = [frozenset([f]) for f in reduced]
+    else:
+        cycle_of: dict[tuple[int, int, int], int] = {}
+        cycles: list[list[tuple[int, int, int]]] = []
+        for f in reduced:
+            if f in cycle_of:
+                continue
+            cyc = _cycle_raw(f, D, len(reduced))
+            for g in cyc:
+                cycle_of[g] = len(cycles)
+            cycles.append(cyc)
+        if cycle_of.keys() != set(reduced):
+            raise SolgenusError(f"the rho-cycles of disc {D} do not partition its reduced forms")
+        if mode is EquivMode.PROPER:
+            classes = [frozenset(c) for c in cycles]
+        else:
+            merged: list[set] = []
+            seen: set[int] = set()
+            for i, cyc in enumerate(cycles):
+                if i in seen:
+                    continue
+                j = cycle_of[_opposite(cyc[0])]
+                seen.update({i, j})
+                members = set(cycles[i]) | set(cycles[j])
+                merged.append(members)
+            classes = [frozenset(c) for c in merged]
+    classes.sort(key=lambda members: min(members))
+    return tuple(min(members) for members in classes), tuple(classes)

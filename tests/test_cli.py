@@ -138,6 +138,25 @@ def test_classnumber_domain_error_exit_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_discriminant_above_limit_exit_one_before_factoring(capsys, monkeypatch):
+    # trial division of these D would not finish; the limit must come first
+    from solgenus import orders
+
+    def no_factor(n):
+        raise AssertionError(f"factor({n}) was called")
+
+    monkeypatch.setattr(orders, "factor", no_factor)
+    for argv in (
+        ("genus", "0 1; 1 10000000000000"),
+        ("classnumber", "100000000000000000000001"),
+        ("enumerate", "--trace", "10000000000000", "--det", "1"),
+        ("canonical", "0 1; 1 10000000000000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and "too large" in err, argv
+
+
 def test_parse_error_exit_one(capsys):
     code, _, err = run_cli(capsys, "genus", "0 -1; 1")
     assert code == 1 and "error" in err

@@ -237,31 +237,46 @@ def test_reduction_guard_raises_domain_error(monkeypatch):
         _reduce_indefinite((1, 0, -10), 40)
 
 
+def test_class_set_matches_reference_partition():
+    # the one-pass index against the old cycle walk, merge and sort
+    discs = _valid_discriminants(-2000, 2000) + [1_000_009, 80_000_001, -24_000_003]
+    assert len(discs) == 1_956 + 3
+    for D in discs:
+        for mode in EquivMode:
+            reps, classes = reference_forms.class_partition(D, mode)
+            cs = class_set(D, mode)
+            assert tuple(q.triple() for q in cs.reps) == reps, (D, mode)
+            assert cs.class_of == {f: i for i, members in enumerate(classes) for f in members}, (D, mode)
+            assert cs.class_members == classes, (D, mode)
+
+
 def test_class_index_of_matches_member_scan():
-    # the lookup against a scan of class_members, on every reduced form and on
-    # a random transform of every class representative
+    # the lookup against a scan of the reference classes, on every reduced
+    # form and on a random transform of every class representative
     rng = random.Random(2000)
     discs = _valid_discriminants(-2000, 2000)
     assert len(discs) == 1_956
     for D in discs:
         for mode in EquivMode:
             cs = class_set(D, mode)
-            forms_of = [BQForm(*f) for f in sorted(f for m in cs.class_members for f in m)]
+            _, classes = reference_forms.class_partition(D, mode)
+            forms_of = [BQForm(*f) for f in sorted(f for m in classes for f in m)]
             for q in cs.reps:
                 u = random_unimodular(rng)
                 # a det -1 step would leave the positive definite carrier
                 forms_of.append(q.transform(u if D > 0 or u.det() == 1 else u * IntMat2(1, 0, 0, -1)))
             for q in forms_of:
                 key = reduce_definite(q).triple() if D < 0 else _reduce_indefinite(q.triple(), D)[0]
-                scan = [i for i, members in enumerate(cs.class_members) if key in members]
+                scan = [i for i, members in enumerate(classes) if key in members]
                 assert scan == [cs.class_index_of(q)], (D, mode, q)
 
 
 def test_class_set_reps_are_reduced_and_distinct():
     cs = class_set(40, EquivMode.IMPROPER)
-    assert len(set(cs.reps)) == cs.count
-    for members in cs.class_members:
-        assert cs.reps[cs.class_members.index(members)].triple() in members
+    _, classes = reference_forms.class_partition(40, EquivMode.IMPROPER)
+    assert len(set(cs.reps)) == cs.count == len(classes)
+    for q, members in zip(cs.reps, classes):
+        assert q.triple() in members
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from solgenus import (
     CharPoly,
     DegenerateSpectrum,
+    SolgenusError,
     disc_from_int,
     factor,
     order_disc,
     square_free_decompose,
 )
 from solgenus.matrices import is_square
+from solgenus.orders import MAX_ABS_DISC
 
 
 def test_square_free_examples():
@@ -85,6 +87,14 @@ def test_disc_from_int_fundamental_split():
     assert (od.D0, od.f, od.d) == (-4, 2, -1)
     od = disc_from_int(148)
     assert (od.D0, od.f, od.d) == (37, 2, 37)
+
+
+def test_disc_from_int_limit():
+    assert MAX_ABS_DISC == 10**12
+    assert disc_from_int(10**12 - 3).D == 10**12 - 3
+    for D in (10**12 + 1, -(10**12 + 3)):
+        with pytest.raises(SolgenusError):
+            disc_from_int(D)
 
 
 def _subring_index(t, n):

@@ -28,9 +28,14 @@ def test_benchmark_tracer_layers_resolve():
     spec.loader.exec_module(tracer)
     for module, function, _span in tracer.LAYERS:
         assert callable(getattr(importlib.import_module(module), function, None)), (module, function)
-    from solgenus.forms import FormClassSet
+    # the counts the benchmark reads from a class set
+    from solgenus.forms import _reduced_forms, class_set
 
-    assert {"reps", "class_members"} <= set(FormClassSet.__dataclass_fields__)
+    for D in (40, -23):
+        t, cs = tracer.Tracer(), class_set(D)
+        tracer._class_set_counts(t, (D,), {}, cs)
+        assert t.counts["forms.classes"] == cs.count
+        assert t.counts["forms.reduced_forms"] == len(_reduced_forms(D))
 
 
 def test_cli_import_does_not_load_numpy():
@@ -61,3 +66,29 @@ def test_scripts_run(script):
     assert "Traceback" not in stderr
     if code:
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+
+
+def test_no_unused_private_names():
+    # a private function, class or module-level name that no other line of
+    # the package reads is dead code
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted((ROOT / "src" / "solgenus").glob("*.py"))}
+    defined = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined += [(name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [f"{module}:{n}" for module, n in defined if n.startswith("_") and not n.startswith("__") and n not in used]
+    assert unused == []
