@@ -33,6 +33,7 @@ from .forms import (
 from .genus import (
     GenusReport,
     TheoremBranch,
+    canonical,
     genus,
     presentation,
 )

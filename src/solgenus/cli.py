@@ -15,10 +15,10 @@ import json
 import os
 import sys
 
-from .conjugacy import are_conjugate_gl2z, canonical_form, class_key, modular_table
+from .conjugacy import are_conjugate_gl2z, modular_table
 from .errors import SolgenusError
 from .forms import EquivMode, class_set
-from .genus import GenusReport, TheoremBranch, branch_of, genus, survey_rows
+from .genus import GenusReport, branch_of, canonical, genus, survey_rows
 from .ideals import LMSet, lm_representatives
 from .matrices import CharPoly, IntMat2, char_poly, geometry, matrix_order, parse_matrix, spectrum_class
 from .orders import disc_from_int
@@ -188,8 +188,6 @@ def _cmd_enumerate(args) -> str:
     if args.matrix is not None:
         p = char_poly(parse_matrix(args.matrix))
     elif args.trace is not None and args.det is not None:
-        if args.det not in (1, -1):
-            raise SolgenusError("determinant must be 1 or -1")
         p = CharPoly(args.trace, args.det)
     else:
         raise SolgenusError("provide a matrix or both --trace and --det")
@@ -253,33 +251,19 @@ def _cmd_classnumber(args) -> str:
 
 def _cmd_canonical(args) -> str:
     m = parse_matrix(args.matrix)
-    p = char_poly(m)
-    branch = branch_of(p)
-    target = conjugator = note = None
-    if branch is TheoremBranch.MAIN_QUADRATIC:
-        reps = lm_representatives(p)
-        classes = class_set(reps.disc)
-        key = class_key(m, classes)
-        target = next((r for r in reps.reps if class_key(r, classes) == key), None)
-        if target is not None:
-            w = are_conjugate_gl2z(m, target)
-            if w is None:
-                raise SolgenusError(f"{target} shares the class key of the input but no conjugator")
-            conjugator = w.P
-        else:
-            note = (
-                "not conjugate to any enumerated representative: the fixed lattice "
-                "is a module over a strictly larger order (conductor > 1 case)"
-            )
-    else:
-        target, conjugator = canonical_form(m)
-    verified = conjugator is not None and (conjugator * m == target * conjugator)
+    c = canonical(m)
+    note = None
+    if c is None:
+        note = (
+            "not conjugate to any enumerated representative: the fixed lattice "
+            "is a module over a strictly larger order (conductor > 1 case)"
+        )
     report = {
         "matrix": _mat(m),
-        "branch": branch.value,
-        "target": None if target is None else _mat(target),
-        "conjugator": None if conjugator is None else _mat(conjugator),
-        "verified": verified,
+        "branch": branch_of(char_poly(m)).value,
+        "target": None if c is None else _mat(c.target),
+        "conjugator": None if c is None else _mat(c.conjugator),
+        "verified": c is not None and c.conjugator * m == c.target * c.conjugator,
         "note": note,
     }
     return render(report, args.format)

@@ -11,11 +11,15 @@ Forms, ch. 6), so :func:`class_key` decides conjugacy with one reduction per
 matrix, and :func:`are_conjugate_gl2z` turns the form transformation into a
 conjugator, which is verified before being returned.
 
-Degenerate spectra (discriminant 0 or 4) are decided by exact integral
-normal forms: [[e, k], [0, e]] for repeated eigenvalue e with k >= 0, and
-for trace 0 / det -1 one of [[0, 1], [1, 0]] or [[1, 0], [0, -1]] depending
-on whether the two eigenlines span the lattice (equivalently, whether the
-matrix is the identity mod 2; the two types are already non-conjugate mod 2).
+Degenerate spectra (discriminant 0 or 4) have an integer eigenvalue e and
+are decided by one triangular normal form: a primitive eigenvector completed
+to a basis by xgcd (Cohen, GTM 138, sec. 2.4) puts the matrix in the shape
+[[e, k], [0, e']], and the target follows from k alone.  It is
+[[e, content(A - e*I)], [0, e]] for repeated eigenvalue e, and for
+trace 0 / det -1 it is [[1, 0], [0, -1]] when the matrix is the identity
+mod 2 and [[0, 1], [1, 0]] otherwise (the two types are already
+non-conjugate mod 2).  The target is a conjugacy invariant; the conjugator
+is one verified choice among many.
 
 The two oracles use no reduction theory.  The solutions P of P*A = B*P form
 a lattice, and its solutions mod q a lattice containing qZ^4; each has an
@@ -41,6 +45,13 @@ from .orders import factor
 # (q = 32, A = B = [[16, 16], [0, 0]], 2-core x86-64 VM), a refuted level
 # under 1 ms.  Raising the limit changes which moduli are refused.
 MAX_SCAN_PRIME_POWER = 53
+
+# largest box-scan bound that brute_force_conjugator accepts.  The walk grows
+# with the square of the bound: with no witness in the box, the two disc-40
+# representatives took 0.34 s at bound 400, 1.23 s at 800 and 2.19 s at 1000,
+# and [[1, 1], [0, 1]] against itself, whose first witness follows 999
+# refuted rows of 2001 points, 4.5 s at 1000 (2-core x86-64 VM).
+MAX_SCAN_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -91,10 +102,6 @@ def _entries(m: IntMat2) -> tuple[int, int, int, int]:
     return (m.a, m.b, m.c, m.d)
 
 
-def _content(m: IntMat2) -> int:
-    return math.gcd(math.gcd(abs(m.a), abs(m.b)), math.gcd(abs(m.c), abs(m.d)))
-
-
 def _fixed_form(m: IntMat2) -> tuple[int, int, BQForm]:
     """(content, sign, primitive form) of the fixed-line form F = (c, d - a, -b) of m.
 
@@ -135,8 +142,6 @@ def class_key(m: IntMat2, classes: FormClassSet | None = None) -> tuple[int, int
 
 def _primitive_kernel_vector(m: IntMat2) -> tuple[int, int]:
     """Primitive generator of ker(m) for a nonzero singular 2x2 matrix."""
-    if m.det() != 0:
-        raise SolgenusError("kernel vector of a nonsingular matrix")
     if (m.a, m.b) != (0, 0):
         v = (-m.b, m.a)
     else:
@@ -148,61 +153,39 @@ def _primitive_kernel_vector(m: IntMat2) -> tuple[int, int]:
     return v
 
 
-def _canonical_repeated(m: IntMat2) -> tuple[IntMat2, IntMat2]:
-    """(C, P) with P*m*P^-1 = C = [[e, k], [0, e]], k = content(m - e*I) >= 0."""
+def _integral_normal_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
+    """(C, P) with P*m*P^-1 = C for discriminant 0 or 4.
+
+    m has the integer eigenvalue e = (t + sqrt(D)) / 2.  A primitive
+    eigenvector u, completed by xgcd to q = [u | w] with det q = 1, gives
+    q^-1*m*q = [[e, k], [0, t - e]].  For D = 0 the target is
+    [[e, |k|], [0, e]], |k| = content(m - e*I), reached by diag(1, -1) when
+    k < 0.  For D = 4 (e = 1) the shear [[1, j], [0, 1]] moves k by -2j, so
+    k mod 2 decides: even k gives [[1, 0], [0, -1]], odd k gives
+    [[1, 1], [0, -1]], which [[1, 0], [1, 1]] carries to [[0, 1], [1, 0]].
+    """
     p = char_poly(m)
-    if p.disc != 0:
-        raise SolgenusError(f"{p} has no repeated eigenvalue")
-    e = p.t // 2
+    e = (p.t + math.isqrt(p.disc)) // 2
     nil = IntMat2(m.a - e, m.b, m.c, m.d - e)
-    g = _content(nil)
-    if g == 0:
+    if nil == IntMat2(0, 0, 0, 0):
         return m, IntMat2.identity()
-    # nil = g * u * v^T with u, v primitive and v . u = 0
-    col = (nil.a // g, nil.c // g) if (nil.a, nil.c) != (0, 0) else (nil.b // g, nil.d // g)
-    gc = math.gcd(abs(col[0]), abs(col[1]))
-    u = (col[0] // gc, col[1] // gc)
-    i = 0 if u[0] != 0 else 1
-    row = (nil.a // g, nil.b // g) if i == 0 else (nil.c // g, nil.d // g)
-    v = (row[0] // u[i], row[1] // u[i])
-    if (nil.a, nil.b, nil.c, nil.d) != (g * u[0] * v[0], g * u[0] * v[1], g * u[1] * v[0], g * u[1] * v[1]):
-        raise SolgenusError(f"m - e*I of {m} is not of rank one")
-    # w with v . w = 1 completes (u, w) to a basis in which nil/g is [[0,1],[0,0]]
-    gg, x, y = _xgcd(v[0], v[1])
-    if gg != 1:
-        raise SolgenusError(f"row vector {v} is not primitive")
-    q = IntMat2(u[0], x, u[1], y)
-    pmat = q.inverse()
-    canon = IntMat2(e, g, 0, e)
-    if pmat * m != canon * pmat:
-        raise SolgenusError(f"shear normal form of {m} failed verification")
-    return canon, pmat
-
-
-def _canonical_involution(m: IntMat2) -> tuple[IntMat2, IntMat2]:
-    """(C, P) for trace 0, det -1: C is [[1,0],[0,-1]] or [[0,1],[1,0]]."""
-    vp = _primitive_kernel_vector(IntMat2(m.a - 1, m.b, m.c, m.d - 1))
-    vm = _primitive_kernel_vector(IntMat2(m.a + 1, m.b, m.c, m.d + 1))
-    q = IntMat2(vp[0], vm[0], vp[1], vm[1])
-    dt = q.det()
-    if abs(dt) == 1:
-        pmat = q.inverse()
+    u0, u1 = _primitive_kernel_vector(nil)
+    _, x, y = _xgcd(u0, u1)
+    pmat = IntMat2(x, y, -u1, u0)  # q^-1 for w = (-y, x)
+    k = (pmat * m * IntMat2(u0, -y, u1, x)).b
+    if p.disc == 0:
+        canon = IntMat2(e, abs(k), 0, e)
+        if k < 0:
+            pmat = _FLIP * pmat
+    else:
         canon = IntMat2(1, 0, 0, -1)
-        if pmat * m != canon * pmat:
-            raise SolgenusError(f"involution normal form of {m} failed verification")
-        return canon, pmat
-    if abs(dt) != 2:
-        raise SolgenusError(f"eigenline lattice of {m} has index {abs(dt)}, not 1 or 2")
-    canon = IntMat2(0, 1, 1, 0)
-    adj = IntMat2(q.d, -q.b, -q.c, q.a)
-    for alpha, beta in ((1, 1), (1, -1)):
-        num = IntMat2(alpha, beta, alpha, -beta) * adj
-        if any(x % dt for x in _entries(num)):
-            continue
-        pmat = IntMat2(num.a // dt, num.b // dt, num.c // dt, num.d // dt)
-        if pmat.det() in (1, -1) and pmat * m == canon * pmat:
-            return canon, pmat
-    raise SolgenusError(f"involution canonicalization of {m} failed")
+        pmat = IntMat2(1, k // 2, 0, 1) * pmat
+        if k % 2:
+            canon = IntMat2(0, 1, 1, 0)
+            pmat = IntMat2(1, 0, 1, 1) * pmat
+    if pmat * m != canon * pmat:
+        raise SolgenusError(f"integral normal form of {m} failed verification")
+    return canon, pmat
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -227,10 +210,8 @@ def canonical_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     involution types; for discriminant 0 the shear [[e, k], [0, e]].
     """
     p = char_poly(m)
-    if p.disc == 0:
-        return _canonical_repeated(m)
-    if p.t == 0 and p.n == -1:
-        return _canonical_involution(m)
+    if p.disc in (0, 4):
+        return _integral_normal_form(m)
     if p.t == 0 and p.n == 1:
         target = IntMat2(0, -1, 1, 0)
         w = are_conjugate_gl2z(m, target)
@@ -250,8 +231,6 @@ def are_conjugate_gl2z(a: IntMat2, b: IntMat2) -> ConjugacyWitness | None:
     pa, pb = char_poly(a), char_poly(b)
     if pa != pb:
         return None
-    if a == b:
-        return ConjugacyWitness(IntMat2.identity(), a, b)
     if pa.disc in (0, 4):
         ca, qa = canonical_form(a)
         cb, qb = canonical_form(b)
@@ -369,9 +348,12 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
     Returns the lexicographically first witness (ordered by entries
     (p11, p12, p21, p22)) or a bound-labeled miss.  The scan walks the box
     points of the exact solution lattice of P*A = B*P, with no reduction
-    theory; the supported domain is bound * max|entry| < 2^60.
+    theory; the supported domain is bound * max|entry| < 2^60.  A bound above
+    MAX_SCAN_BOUND raises SolgenusError before the lattice is built.
     """
     char_poly(a), char_poly(b)
+    if bound > MAX_SCAN_BOUND:
+        raise SolgenusError(f"scan bound {bound} is above {MAX_SCAN_BOUND}")
     maxent = max(abs(x) for x in _entries(a) + _entries(b))
     if bound < 1 or bound * max(maxent, 1) >= 2**60:
         raise SolgenusError("scan bound out of supported range")

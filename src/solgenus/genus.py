@@ -148,6 +148,30 @@ def _pair_evidence(reps: LMSet, level: str) -> Evidence:
     return Evidence(level, tuple(pairs))
 
 
+def canonical(m: IntMat2) -> CanonicalData | None:
+    """Canonical target of m and a verified conjugator to it.
+
+    Off the main branch the target is the integral normal form of
+    :func:`canonical_form`.  On the main branch it is the Latimer-MacDuffee
+    representative with m's class key, and the conjugator is the witness of
+    one GL2(Z) decision; None when no representative shares the key (the
+    fixed lattice is a module over a larger order, conductor > 1).
+    """
+    p = char_poly(m)
+    if branch_of(p) is not TheoremBranch.MAIN_QUADRATIC:
+        return CanonicalData(*canonical_form(m))
+    reps = lm_representatives(p)
+    classes = class_set(reps.disc)
+    key = class_key(m, classes)
+    target = next((r for r in reps.reps if class_key(r, classes) == key), None)
+    if target is None:
+        return None
+    w = are_conjugate_gl2z(m, target)
+    if w is None:
+        raise SolgenusError(f"{target} shares the class key of the input but no conjugator")
+    return CanonicalData(target, w.P)
+
+
 def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
     """Full genus report for the monodromy m; see module docstring for routing.
 
@@ -159,7 +183,7 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
         raise ValueError(f"unknown evidence level {evidence_level!r}")
     p = char_poly(m)
     branch = branch_of(p)
-    reps = canonical = evidence = None
+    reps = canon = evidence = None
     if branch is TheoremBranch.MAIN_QUADRATIC:
         reps = lm_representatives(p)
         od = reps.disc
@@ -169,7 +193,7 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
         # trace 0, det 1 has the Gaussian integers (D = -4); otherwise the
         # eigenvalues are rational and the field is Q
         od = order_disc(p) if p.disc < 0 else None
-        canonical = CanonicalData(*canonical_form(m))
+        canon = canonical(m)
     h_field, h_order = _class_numbers(od)
     return GenusReport(
         geometry=geometry(m),
@@ -180,7 +204,7 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
         matrix=m,
         char=p,
         representatives=reps,
-        canonical=canonical,
+        canonical=canon,
         evidence=evidence,
         presentation=presentation(m),
     )

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ from solgenus import (
     ConjugacyWitness,
     DegenerateSpectrum,
     IntMat2,
+    SolgenusError,
     are_conjugate_gl2z,
     are_conjugate_mod_m,
     brute_force_conjugator,
@@ -20,7 +22,8 @@ from solgenus import (
 )
 from helpers import mat, random_unimodular, unimodular_box
 from reference_scans import box_scan, modular_scan, monolithic_scan
-from solgenus.conjugacy import _fixed_form, _modular_scan
+from solgenus import conjugacy
+from solgenus.conjugacy import MAX_SCAN_BOUND, _fixed_form, _modular_scan
 from solgenus.matrices import is_square
 from solgenus.orders import factor
 
@@ -177,6 +180,47 @@ def test_canonical_form_exhaustive_traceless_box():
             continue  # irreducible route, covered elsewhere
         c, q = canonical_form(m)
         assert q * m == c * q and q.det() in (1, -1)
+
+
+def _normal_form_target(m):
+    """The integral normal form of a discriminant 0 or 4 matrix, in closed form."""
+    p = char_poly(m)
+    if p.disc == 4:
+        identity_mod_2 = all(x % 2 == 0 for x in (m.a - 1, m.b, m.c, m.d - 1))
+        return mat(1, 0, 0, -1) if identity_mod_2 else mat(0, 1, 1, 0)
+    e = p.t // 2
+    if m == mat(e, 0, 0, e):
+        return m
+    return mat(e, math.gcd(m.a - e, m.b, m.c, m.d - e), 0, e)
+
+
+def test_integral_normal_form_on_box():
+    box = [m for m in unimodular_box(12) if char_poly(m).disc in (0, 4)]
+    assert len(box) == 478
+    targets = {}
+    for m in box:
+        c, q = canonical_form(m)
+        assert c == _normal_form_target(m), m
+        assert q.det() in (1, -1) and q * m == c * q
+        targets[m] = c
+    small = [m for m in box if max(abs(x) for x in (m.a, m.b, m.c, m.d)) <= 6]
+    pairs = [(a, b) for a in small for b in small if char_poly(a) == char_poly(b)]
+    assert len(pairs) == 12674
+    for a, b in pairs:
+        assert (are_conjugate_gl2z(a, b) is not None) == (targets[a] == targets[b]), (a, b)
+
+
+def test_scan_bound_refused_before_lattice(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(conjugacy, "_solution_basis", unreachable)
+    monkeypatch.setattr(conjugacy, "_lex_first", unreachable)
+    a, b = lm_representatives(CharPoly(6, -1)).reps
+    with pytest.raises(SolgenusError):
+        brute_force_conjugator(a, b, MAX_SCAN_BOUND + 1)
+    with pytest.raises(AssertionError):
+        brute_force_conjugator(a, b, MAX_SCAN_BOUND)
 
 
 def test_brute_force_examples():

@@ -8,10 +8,15 @@ from solgenus import (
     IntMat2,
     NotUnimodular,
     TheoremBranch,
+    canonical,
+    canonical_form,
     char_poly,
+    companion,
     genus,
+    lm_representatives,
     presentation,
 )
+from solgenus.genus import CanonicalData
 from solgenus.matrices import is_square
 
 from helpers import mat, random_unimodular, unimodular_box
@@ -56,6 +61,25 @@ def test_genus_repeated_branch():
         assert r.genus == 1 and r.h_field == 1
         c = r.canonical
         assert c.conjugator * m == c.target * c.conjugator
+
+
+def test_canonical_targets_in_library():
+    # conjugates of a companion land on the principal Latimer-MacDuffee
+    # representative, with a verified conjugator
+    rng = random.Random(4242)
+    for t, n in ((6, -1), (10, -1), (12, 1)):
+        p = CharPoly(t, n)
+        reps = lm_representatives(p).reps
+        for _ in range(8):
+            v = random_unimodular(rng, 8)
+            m = v * companion(p) * v.inverse()
+            c = canonical(m)
+            assert c is not None and c.target == reps[0]
+            assert c.conjugator.det() in (1, -1) and c.conjugator * m == c.target * c.conjugator
+    # a lattice over a strictly larger order matches no representative
+    assert canonical(mat(1, 2, 2, 3)) is None
+    for m in (mat(0, -1, 1, 0), mat(2, 1, -3, -2), mat(-1, 4, 0, -1)):
+        assert canonical(m) == CanonicalData(*canonical_form(m))
 
 
 def test_genus_conductor_discrepancy_surfaced():

@@ -54,13 +54,16 @@ def test_cli_import_does_not_load_numpy():
         (["genus2_walkthrough.py", "--bound", "5", "--mmax", "8"], 0),
         # modulus 59 is past the scan limit: one error line, as from the CLI
         (["genus2_walkthrough.py", "--bound", "1", "--mmax", "60"], 1),
+        # box-scan bound past the limit: refused, where it would scan for hours
+        (["genus2_walkthrough.py", "--bound", "100000", "--mmax", "2"], 1),
     ],
 )
 def test_scripts_run(script):
     # the scripts are library callers that no other test imports
     (name, *argv), code = script
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv], env=env, capture_output=True)
+    cmd = [sys.executable, str(ROOT / "scripts" / name), *argv]
+    done = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
     stderr = done.stderr.decode()
     assert done.returncode == code, stderr
     assert "Traceback" not in stderr
