@@ -17,8 +17,8 @@ from solgenus import (
     format_matrix,
     genus,
     lm_representatives,
+    modular_table,
     presentation,
-    profinite_evidence,
 )
 from solgenus.ideals import companion
 
@@ -55,7 +55,7 @@ def main() -> None:
     print(f"  witness: {None if res.witness is None else format_matrix(res.witness.P)} (bound {res.bound})")
 
     print(f"\ncongruence-level witnesses (GL2(Z/m), m = 2..{args.mmax}):")
-    for m, w in profinite_evidence(a, b, args.mmax).levels:
+    for m, w in modular_table(a, b, range(2, args.mmax + 1)).levels:
         tag = "none" if w is None else format_matrix(w.P)
         print(f"  m = {m:>2}: {tag}")
 

@@ -11,7 +11,6 @@ from .conjugacy import (
     canonical_form,
     class_key,
     modular_table,
-    profinite_evidence,
 )
 from .errors import (
     DegenerateSpectrum,
@@ -28,7 +27,6 @@ from .forms import (
     class_count,
     class_set,
     forms_equivalent,
-    reduce_definite,
 )
 from .genus import (
     GenusReport,

@@ -3,23 +3,26 @@
 The irreducible case is decided through binary quadratic forms: the
 fixed-line form of A = [[p, q], [r, s]] is F_A = (r, s - p, -q), and
 conjugating A by V^-1 transforms F_A by the determinant-twisted substitution
-implemented in :mod:`solgenus.forms`.  Matrices with equal irreducible
-characteristic polynomial are conjugate exactly when their fixed forms have
-the same content and are equivalent under that action.  A reduced form (D < 0)
-or reduced cycle (D > 0) tells its class (Buchmann-Vollmer, Binary Quadratic
+implemented in :mod:`solgenus.forms`.  A negative definite F_A is first
+carried to its positive opposite by the one det -1 step F = diag(1, -1),
+conjugating A to F*A*F.  Matrices with equal irreducible characteristic
+polynomial are conjugate exactly when the resulting forms have the same
+content and are equivalent under that action.  A reduced form (D < 0) or
+reduced cycle (D > 0) tells its class (Buchmann-Vollmer, Binary Quadratic
 Forms, ch. 6), so :func:`class_key` decides conjugacy with one reduction per
 matrix, and :func:`are_conjugate_gl2z` turns the form transformation into a
-conjugator, which is verified before being returned.
+conjugator, which is verified before being returned.  Trace 0, det 1
+(D = -4) is one such case.
 
 Degenerate spectra (discriminant 0 or 4) have an integer eigenvalue e and
-are decided by one triangular normal form: a primitive eigenvector completed
-to a basis by xgcd (Cohen, GTM 138, sec. 2.4) puts the matrix in the shape
-[[e, k], [0, e']], and the target follows from k alone.  It is
-[[e, content(A - e*I)], [0, e]] for repeated eigenvalue e, and for
-trace 0 / det -1 it is [[1, 0], [0, -1]] when the matrix is the identity
-mod 2 and [[0, 1], [1, 0]] otherwise (the two types are already
-non-conjugate mod 2).  The target is a conjugacy invariant; the conjugator
-is one verified choice among many.
+are decided by one triangular normal form, :func:`canonical_form`: a
+primitive eigenvector completed to a basis by xgcd (Cohen, GTM 138,
+sec. 2.4) puts the matrix in the shape [[e, k], [0, e']], and the target
+follows from k alone.  It is [[e, content(A - e*I)], [0, e]] for repeated
+eigenvalue e, and for trace 0 / det -1 it is [[1, 0], [0, -1]] when the
+matrix is the identity mod 2 and [[0, 1], [1, 0]] otherwise (the two types
+are already non-conjugate mod 2).  The target is a conjugacy invariant; the
+conjugator is one verified choice among many.
 
 The two oracles use no reduction theory.  The solutions P of P*A = B*P form
 a lattice, and its solutions mod q a lattice containing qZ^4; each has an
@@ -102,34 +105,33 @@ def _entries(m: IntMat2) -> tuple[int, int, int, int]:
     return (m.a, m.b, m.c, m.d)
 
 
-def _fixed_form(m: IntMat2) -> tuple[int, int, BQForm]:
-    """(content, sign, primitive form) of the fixed-line form F = (c, d - a, -b) of m.
+def _fixed_form(m: IntMat2) -> tuple[int, BQForm, IntMat2]:
+    """(content, primitive form, F) for the fixed-line form (c, d - a, -b) of F*m*F.
 
-    The form is sign * F / content; sign is -1 exactly when F is negative
-    definite, so a definite form is carried by its positive representative.
+    F is _FLIP when the fixed form of m is negative definite and the identity
+    otherwise, so a definite form is carried by its positive representative.
     Requires a nondegenerate discriminant.
     """
+    f = _FLIP if m.c < 0 and (m.d - m.a) ** 2 + 4 * m.b * m.c < 0 else IntMat2.identity()
+    m = f * m * f
     a, b, c = m.c, m.d - m.a, -m.b
     g = math.gcd(a, b, c)
-    sign = -1 if b * b - 4 * a * c < 0 and a < 0 else 1
-    return g, sign, BQForm(sign * a // g, sign * b // g, sign * c // g)
+    return g, BQForm(a // g, b // g, c // g), f
 
 
 def class_key(m: IntMat2, classes: FormClassSet | None = None) -> tuple[int, int]:
     """(content, improper class index of the fixed form in class_set(D / content^2)).
 
     Matrices with one irreducible characteristic polynomial are
-    GL2(Z)-conjugate exactly when their keys are equal.  For D < 0 a negative
-    definite fixed form is keyed by the class of (a, -b, c), the det -1 step
-    that :func:`are_conjugate_gl2z` takes.  ``classes``, the class set of D
-    when the caller holds it, spares factoring D for content 1.
+    GL2(Z)-conjugate exactly when their keys are equal.  The form is that of
+    :func:`_fixed_form`, whose det -1 step F is the one
+    :func:`are_conjugate_gl2z` takes.  ``classes``, the class set of D when
+    the caller holds it, spares factoring D for content 1.
     """
     p = char_poly(m)
     if p.disc in (0, 4):
         raise DegenerateSpectrum(f"{p} is reducible; no nondegenerate fixed form")
-    g, sign, q = _fixed_form(m)
-    if sign < 0:
-        q = BQForm(q.a, -q.b, q.c)
+    g, q, _ = _fixed_form(m)
     if classes is None or g > 1:
         classes = class_set(q.disc)
     return g, classes.class_index_of(q)
@@ -153,7 +155,7 @@ def _primitive_kernel_vector(m: IntMat2) -> tuple[int, int]:
     return v
 
 
-def _integral_normal_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
+def canonical_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     """(C, P) with P*m*P^-1 = C for discriminant 0 or 4.
 
     m has the integer eigenvalue e = (t + sqrt(D)) / 2.  A primitive
@@ -163,8 +165,11 @@ def _integral_normal_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     k < 0.  For D = 4 (e = 1) the shear [[1, j], [0, 1]] moves k by -2j, so
     k mod 2 decides: even k gives [[1, 0], [0, -1]], odd k gives
     [[1, 1], [0, -1]], which [[1, 0], [1, 1]] carries to [[0, 1], [1, 0]].
+    Any other discriminant raises DegenerateSpectrum.
     """
     p = char_poly(m)
+    if p.disc not in (0, 4):
+        raise DegenerateSpectrum(f"{p} has no integer eigenvalue, so no triangular normal form")
     e = (p.t + math.isqrt(p.disc)) // 2
     nil = IntMat2(m.a - e, m.b, m.c, m.d - e)
     if nil == IntMat2(0, 0, 0, 0):
@@ -202,25 +207,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def canonical_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
-    """Integral canonical form for trace-zero or repeated-eigenvalue matrices.
-
-    Returns (C, P) with P*m*P^-1 = C.  For det +1 and trace 0 the target is
-    the quarter-turn [[0, -1], [1, 0]]; for det -1 and trace 0 one of the two
-    involution types; for discriminant 0 the shear [[e, k], [0, e]].
-    """
-    p = char_poly(m)
-    if p.disc in (0, 4):
-        return _integral_normal_form(m)
-    if p.t == 0 and p.n == 1:
-        target = IntMat2(0, -1, 1, 0)
-        w = are_conjugate_gl2z(m, target)
-        if w is None:
-            raise SolgenusError(f"{m} is not conjugate to the quarter-turn")
-        return target, w.P
-    raise DegenerateSpectrum(f"no canonical normal form implemented for {p}")
-
-
 # ---------------------------------------------------------------------------
 # The conjugacy decision
 # ---------------------------------------------------------------------------
@@ -237,21 +223,15 @@ def are_conjugate_gl2z(a: IntMat2, b: IntMat2) -> ConjugacyWitness | None:
         if ca != cb:
             return None
         return ConjugacyWitness(qb.inverse() * qa, a, b)
-    ga, sa, qa = _fixed_form(a)
-    gb, sb, qb = _fixed_form(b)
+    ga, qa, fa = _fixed_form(a)
+    gb, qb, fb = _fixed_form(b)
     if ga != gb:
         return None  # form content is a conjugacy invariant
-    if sa != sb:
-        # D < 0 and the fixed forms have opposite signs: the det -1 step _FLIP
-        # carries F_a to sign(F_b) * (qa.a, -qa.b, qa.c).  Same signs need no
-        # step, since negation commutes with substitution.
-        qa = BQForm(qa.a, -qa.b, qa.c)
+    # v^-1 (fa a fa) v and fb b fb share the trace and the fixed form gb * qb
     v = forms_equivalent(qa, qb)
     if v is None:
         return None
-    if sa != sb:
-        v = _FLIP * v
-    return ConjugacyWitness(v.inverse(), a, b)
+    return ConjugacyWitness(fb * v.inverse() * fa, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +452,3 @@ def modular_table(a: IntMat2, b: IntMat2, moduli: Sequence[int]) -> ProfiniteEvi
     levels = tuple((m, are_conjugate_mod_m(a, b, m)) for m in moduli)
     refuted = next((m for m, w in levels if w is None), None)
     return ProfiniteEvidence(max(moduli, default=1), levels, refuted)
-
-
-def profinite_evidence(a: IntMat2, b: IntMat2, m_max: int = 30) -> ProfiniteEvidence:
-    """Tabulate GL2(Z/m) conjugacy for every m in 2..m_max."""
-    if char_poly(a) != char_poly(b):
-        raise ValueError("profinite evidence requires equal characteristic polynomials")
-    return modular_table(a, b, range(2, m_max + 1))

@@ -124,14 +124,6 @@ def _reduce_definite(f: tuple[int, int, int]) -> tuple[tuple[int, int, int], Int
         return (a, b, c), u
 
 
-def reduce_definite(q: BQForm) -> BQForm:
-    """Gauss reduction of a positive definite form to its unique reduced equivalent."""
-    if q.disc >= 0:
-        raise SolgenusError("reduce_definite requires negative discriminant")
-    f, _ = _reduce_definite(q.triple())
-    return BQForm(*f)
-
-
 # ---------------------------------------------------------------------------
 # Indefinite reduction (D > 0 nonsquare): rho steps and cycles
 # ---------------------------------------------------------------------------
@@ -181,6 +173,13 @@ def _reduce_indefinite(f: tuple[int, int, int], D: int) -> tuple[tuple[int, int,
         u = u * _rho_matrix(f, g)
         f = g
     raise SolgenusError(f"indefinite reduction of disc {D} did not finish in {_REDUCTION_STEPS} steps")
+
+
+def _reduce(f: tuple[int, int, int], D: int) -> tuple[tuple[int, int, int], IntMat2]:
+    """Reduced form properly equivalent to f, and U with f . U = reduced (det U = 1)."""
+    if D < 0:
+        return _reduce_definite(f)
+    return _reduce_indefinite(f, D)
 
 
 def _cycle_raw(first: tuple[int, int, int], D: int, cap: int) -> list[tuple[int, int, int]]:
@@ -298,10 +297,7 @@ class FormClassSet:
         """Index of the class containing q; raises on discriminant mismatch."""
         if q.disc != self.disc.D:
             raise DiscriminantMismatch(f"form of disc {q.disc}, class set of disc {self.disc.D}")
-        if self.disc.D < 0:
-            key = reduce_definite(q).triple()
-        else:
-            key = _reduce_indefinite(q.triple(), self.disc.D)[0]
+        key = _reduce(q.triple(), self.disc.D)[0]
         i = self.class_of.get(key)
         if i is None:
             raise SolgenusError(f"reduced form {key} missing from class set of {self.disc.D}")
@@ -367,25 +363,20 @@ def class_count(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> 
 
 def _equiv_proper(f1: tuple[int, int, int], f2: tuple[int, int, int], D: int) -> IntMat2 | None:
     """U in SL2(Z) with f1(Uv) = f2(v), or None."""
-    if D < 0:
-        r1, u1 = _reduce_definite(f1)
-        r2, u2 = _reduce_definite(f2)
-        if r1 != r2:
-            return None
-        return u1 * u2.inverse()
-    r1, u1 = _reduce_indefinite(f1, D)
-    r2, u2 = _reduce_indefinite(f2, D)
-    s = math.isqrt(D)
+    r1, u1 = _reduce(f1, D)
+    r2, u2 = _reduce(f2, D)
+    s = math.isqrt(abs(D))
     w = IntMat2.identity()
     f = r1
-    while True:
-        if f == r2:
-            return u1 * w * u2.inverse()
+    while f != r2:
+        if D < 0:
+            return None  # a reduced definite form is alone in its proper class
         g = _rho_raw(f, D, s)
         w = w * _rho_matrix(f, g)
         f = g
         if f == r1:
             return None
+    return u1 * w * u2.inverse()
 
 
 def forms_equivalent(q1: BQForm, q2: BQForm, mode: EquivMode = EquivMode.IMPROPER) -> IntMat2 | None:

@@ -24,7 +24,7 @@ from .conjugacy import (
     brute_force_conjugator,
     canonical_form,
     class_key,
-    profinite_evidence,
+    modular_table,
 )
 from .errors import SolgenusError
 from .forms import EquivMode, class_count, class_set
@@ -143,7 +143,7 @@ def _pair_evidence(reps: LMSet, level: str) -> Evidence:
         brute = modular = None
         if level == "full":
             brute = brute_force_conjugator(a, b, 50)
-            modular = profinite_evidence(a, b, 30)
+            modular = modular_table(a, b, range(2, 31))
         pairs.append(PairEvidence(i, j, w, brute, modular))
     return Evidence(level, tuple(pairs))
 
@@ -151,14 +151,15 @@ def _pair_evidence(reps: LMSet, level: str) -> Evidence:
 def canonical(m: IntMat2) -> CanonicalData | None:
     """Canonical target of m and a verified conjugator to it.
 
-    Off the main branch the target is the integral normal form of
-    :func:`canonical_form`.  On the main branch it is the Latimer-MacDuffee
-    representative with m's class key, and the conjugator is the witness of
-    one GL2(Z) decision; None when no representative shares the key (the
-    fixed lattice is a module over a larger order, conductor > 1).
+    With an integer eigenvalue (D = 0 or 4) the target is the integral
+    normal form of :func:`canonical_form`.  Otherwise it is the
+    Latimer-MacDuffee representative with m's class key (for D = -4 the
+    quarter turn), and the conjugator is the witness of one GL2(Z) decision;
+    None when no representative shares the key (the fixed lattice is a module
+    over a larger order, conductor > 1).
     """
     p = char_poly(m)
-    if branch_of(p) is not TheoremBranch.MAIN_QUADRATIC:
+    if p.disc in (0, 4):
         return CanonicalData(*canonical_form(m))
     reps = lm_representatives(p)
     classes = class_set(reps.disc)

@@ -67,11 +67,6 @@ class IntMat2:
     def identity(cls) -> "IntMat2":
         return cls(1, 0, 0, 1)
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntMat2":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
-
 
 @dataclass(frozen=True)
 class CharPoly:
@@ -196,7 +191,7 @@ def parse_matrix(text: str) -> IntMat2:
             or any(not isinstance(x, int) or isinstance(x, bool) for r in data for x in r)
         ):
             raise ParseError("JSON matrix must be [[int,int],[int,int]]", offset)
-        return IntMat2.from_rows(data)
+        return IntMat2(*data[0], *data[1])
 
     tokens = [(m.start(), m.group()) for m in re.finditer(r";|[^\s,;]+", text)]
     rows: list[list[int]] = [[]]

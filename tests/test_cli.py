@@ -117,7 +117,7 @@ def test_conj_mod_prime_power_above_limit_exit_one(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--mmax", mmax)
         assert code == 1 and out == "" and "modulus 59 has a prime-power part above 53" in err, mmax
     with pytest.raises(SolgenusError):
-        solgenus.conjugacy.profinite_evidence(mat(0, 1, 1, 6), mat(4, 3, 3, 2), 59)
+        solgenus.conjugacy.modular_table(mat(0, 1, 1, 6), mat(4, 3, 3, 2), range(2, 60))
 
 
 def test_classnumber(capsys):

@@ -15,7 +15,6 @@ from solgenus import (
     class_count,
     class_set,
     forms_equivalent,
-    reduce_definite,
 )
 
 import reference_forms
@@ -96,10 +95,14 @@ def test_bqform_validation():
         BQForm(1, 2, 1)  # discriminant 0
 
 
+def reduced(q: BQForm) -> tuple[int, int, int]:
+    return forms._reduce(q.triple(), q.disc)[0]
+
+
 def test_reduce_definite_examples():
-    assert reduce_definite(BQForm(1, 0, 1)).triple() == (1, 0, 1)
-    assert reduce_definite(BQForm(2, 2, 3)).triple() == (2, 2, 3)
-    assert reduce_definite(BQForm(3, 2, 1)).triple() == (1, 0, 2)
+    assert reduced(BQForm(1, 0, 1)) == (1, 0, 1)
+    assert reduced(BQForm(2, 2, 3)) == (2, 2, 3)
+    assert reduced(BQForm(3, 2, 1)) == (1, 0, 2)
 
 
 def test_reduce_definite_idempotent_and_class_invariant():
@@ -112,9 +115,9 @@ def test_reduce_definite_idempotent_and_class_invariant():
             u = random_unimodular(rng)
         moved = q.transform(u)
         assert moved.disc == q.disc
-        red = reduce_definite(moved)
-        assert red == reduce_definite(q)
-        assert reduce_definite(red) == red
+        red = reduced(moved)
+        assert red == reduced(q)
+        assert reduced(BQForm(*red)) == red
 
 
 def cycle(q: BQForm) -> list[BQForm]:
@@ -149,11 +152,6 @@ def test_reduction_preserves_disc_and_primitivity():
         q = rng.choice(seeds).transform(random_unimodular(rng))
         cyc = cycle(q)
         assert all(f.disc == q.disc for f in cyc)  # BQForm enforces primitivity itself
-
-
-def test_rho_rejects_definite():
-    with pytest.raises(SolgenusError):
-        reduce_definite(BQForm(1, 6, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,7 @@ def test_class_index_of_matches_member_scan():
                 # a det -1 step would leave the positive definite carrier
                 forms_of.append(q.transform(u if D > 0 or u.det() == 1 else u * IntMat2(1, 0, 0, -1)))
             for q in forms_of:
-                key = reduce_definite(q).triple() if D < 0 else _reduce_indefinite(q.triple(), D)[0]
+                key = reduced(q)
                 scan = [i for i, members in enumerate(classes) if key in members]
                 assert scan == [cs.class_index_of(q)], (D, mode, q)
 

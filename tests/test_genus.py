@@ -4,6 +4,7 @@ import pytest
 
 from solgenus import (
     CharPoly,
+    DegenerateSpectrum,
     GeometryLabel,
     IntMat2,
     NotUnimodular,
@@ -54,6 +55,19 @@ def test_genus_trace_zero_canonical_verified():
         assert c.conjugator * m == c.target * c.conjugator
 
 
+def test_canonical_quarter_turn_by_class_key_on_box():
+    # trace 0, det 1 (D = -4) takes the class-key route: h = 1, and the one
+    # Latimer-MacDuffee representative is the companion, the quarter turn
+    box = [m for m in unimodular_box(6) if char_poly(m).disc == -4]
+    assert box
+    for m in box:
+        c = canonical(m)
+        assert c.target == mat(0, -1, 1, 0)
+        assert c.conjugator.det() in (1, -1) and c.conjugator * m == c.target * c.conjugator
+        with pytest.raises(DegenerateSpectrum):
+            canonical_form(m)
+
+
 def test_genus_repeated_branch():
     for m in [mat(1, 3, 0, 1), mat(-1, 0, 7, -1), IntMat2.identity(), mat(-1, 0, 0, -1)]:
         r = genus(m)
@@ -78,7 +92,7 @@ def test_canonical_targets_in_library():
             assert c.conjugator.det() in (1, -1) and c.conjugator * m == c.target * c.conjugator
     # a lattice over a strictly larger order matches no representative
     assert canonical(mat(1, 2, 2, 3)) is None
-    for m in (mat(0, -1, 1, 0), mat(2, 1, -3, -2), mat(-1, 4, 0, -1)):
+    for m in (mat(2, 1, -3, -2), mat(-1, 4, 0, -1)):
         assert canonical(m) == CanonicalData(*canonical_form(m))
 
 
