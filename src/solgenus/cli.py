@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
+from itertools import combinations
+from json.encoder import encode_basestring_ascii as _escape
 
 from .conjugacy import are_conjugate_gl2z, modular_table
 from .errors import SolgenusError
@@ -24,6 +25,7 @@ from .matrices import CharPoly, IntMat2, char_poly, geometry, matrix_order, pars
 from .orders import disc_from_int
 
 _BIG = 2**53 - 1
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 # ---------------------------------------------------------------------------
@@ -31,16 +33,47 @@ _BIG = 2**53 - 1
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, int):
-        return str(obj) if abs(obj) > _BIG else obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    raise TypeError(f"cannot render {type(obj)!r} as JSON")
+def _write_json(obj, parts: list[str], nl: str | None) -> None:
+    """Append the JSON text of obj to parts, byte for byte as json.dumps writes it.
+
+    nl is the newline and indent of obj's line in the indent=2 form, or None
+    for the one-line form.  obj is a dict with str keys, a list, a tuple, an
+    int, a str, a bool or None, nested.  Integers with |n| > 2^53 - 1 are
+    written as decimal strings.
+    """
+    t = type(obj)
+    if t is str:
+        parts.append(_escape(obj))
+    elif t is int:
+        parts.append(str(obj) if -_BIG <= obj <= _BIG else f'"{obj}"')
+    elif obj is None or t is bool:
+        parts.append(_CONSTANTS[obj])
+    elif t is dict or t is list or t is tuple:
+        opening, closing = "{}" if t is dict else "[]"
+        if not obj:
+            parts.append(opening + closing)
+            return
+        append = parts.append
+        inner = None if nl is None else nl + "  "
+        sep = ", " if inner is None else "," + inner
+        lead = opening if inner is None else opening + inner
+        # ints, bools and None are written in place: most values of a report
+        # are, and a call per value took as long as the rest of the writer
+        for key, value in obj.items() if t is dict else ((None, value) for value in obj):
+            if t is dict:
+                lead += _escape(key) + ": "  # TypeError for a key that is not a str
+            tv = type(value)
+            if tv is int and -_BIG <= value <= _BIG:
+                append(lead + str(value))
+            elif value is None or tv is bool:
+                append(lead + _CONSTANTS[value])
+            else:
+                append(lead)
+                _write_json(value, parts, inner)
+            lead = sep
+        append(closing if nl is None else nl + closing)
+    else:
+        raise TypeError(f"cannot render {t!r} as JSON")
 
 
 def _mat(m: IntMat2) -> list[list[int]]:
@@ -48,12 +81,17 @@ def _mat(m: IntMat2) -> list[list[int]]:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2) + "\n"
+    parts: list[str] = []
+    _write_json(report, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _compact(value) -> str:
     if isinstance(value, (dict, list)):
-        return json.dumps(_jsonable(value))
+        parts: list[str] = []
+        _write_json(value, parts, None)
+        return "".join(parts)
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -122,23 +160,16 @@ def genus_report_dict(r: GenusReport) -> dict:
         canonical = {"target": _mat(r.canonical.target), "conjugator": _mat(r.canonical.conjugator)}
     evidence = None
     if r.evidence is not None:
-        pairs = []
-        for pe in r.evidence.pairs:
-            entry: dict = {"i": pe.i, "j": pe.j, "gl2z_conjugate": pe.gl2z_witness is not None}
-            if pe.brute is not None:
-                entry["exhaustive_scan"] = {
-                    "bound": pe.brute.bound,
-                    "witness_found": pe.brute.witness is not None,
-                }
-            if pe.modular is not None:
-                entry["mod_m"] = {
-                    "m_max": pe.modular.m_max,
-                    "verdict": pe.modular.verdict,
-                    "witnesses": [
-                        {"m": m, "P": None if w is None else _mat(w.P)} for m, w in pe.modular.levels
-                    ],
-                }
-            pairs.append(entry)
+        # distinct class keys: no pair of representatives is conjugate
+        h = len(r.evidence.keys)
+        pairs = [{"i": i, "j": j, "gl2z_conjugate": False} for i, j in combinations(range(h), 2)]
+        for entry, pe in zip(pairs, r.evidence.pairs):
+            entry["exhaustive_scan"] = {"bound": pe.brute.bound, "witness_found": pe.brute.witness is not None}
+            entry["mod_m"] = {
+                "m_max": pe.modular.m_max,
+                "verdict": pe.modular.verdict,
+                "witnesses": [{"m": m, "P": None if w is None else _mat(w.P)} for m, w in pe.modular.levels],
+            }
         evidence = {"level": r.evidence.level, "pairs": pairs}
     return {
         "matrix": _mat(r.matrix),

@@ -29,7 +29,9 @@ a lattice, and its solutions mod q a lattice containing qZ^4; each has an
 echelon basis from unimodular row operations (Cohen, GTM 138, sec. 2.4).
 :func:`brute_force_conjugator` walks the points of the first inside a box
 and :func:`_modular_scan` those of the second with entries in [0, q), both
-in lexicographic order, up to the first unit determinant.
+in lexicographic order, up to the first unit determinant.  On the last
+basis row the determinant is a quadratic in the coefficient, so that
+coefficient is solved for, not walked.
 """
 from __future__ import annotations
 
@@ -49,11 +51,12 @@ from .orders import factor
 # under 1 ms.  Raising the limit changes which moduli are refused.
 MAX_SCAN_PRIME_POWER = 53
 
-# largest box-scan bound that brute_force_conjugator accepts.  The walk grows
-# with the square of the bound: with no witness in the box, the two disc-40
-# representatives took 0.34 s at bound 400, 1.23 s at 800 and 2.19 s at 1000,
-# and [[1, 1], [0, 1]] against itself, whose first witness follows 999
-# refuted rows of 2001 points, 4.5 s at 1000 (2-core x86-64 VM).
+# largest box-scan bound that brute_force_conjugator accepts.  The walk solves
+# for the last coefficient instead of scanning it, so it grows with the bound
+# times the number of rows above the last: with no witness in the box, the two
+# disc-40 representatives took 0.007 s at bound 400, 0.013 s at 800 and
+# 0.017 s at 1000; [[1, 1], [0, 1]] against itself took 0.004 s and the
+# identity, whose lattice has rank 4, 0.010 s at 1000 (2-core x86-64 VM).
 MAX_SCAN_BOUND = 1000
 
 
@@ -289,20 +292,47 @@ def _solution_basis(a_ent: tuple, b_ent: tuple, q: int = 0) -> list[list[int]]:
     return [r[4:] for r in _echelon(rows) if not any(r[:4])]
 
 
-def _lex_first(basis: list[list[int]], lo: int, hi: int, accept) -> tuple | None:
-    """Lexicographically first lattice point x with every entry in [lo, hi] and
-    accept(x), or None; requires lo <= 0 <= hi.
+def _first_unit(x: Sequence[int], r: Sequence[int], clo: int, chi: int, p: int) -> int | None:
+    """Smallest c in [clo, chi] with det(x + c*r) a unit: +-1 for p = 0, prime
+    to p otherwise; or None.
+
+    det(x + c*r) = a*c^2 + k*c + d.  Mod p the c are scanned: the range has at
+    most q <= 53 values, and a quadratic mod p that is not zero has at most
+    two roots.  Over Z the candidates are the integer roots of
+    a*c^2 + k*c + d -+ 1; when that does not depend on c, every c or none is
+    a root.
+    """
+    a, k, d = _det(r), x[0] * r[3] + r[0] * x[3] - x[1] * r[2] - r[1] * x[2], _det(x)
+    if p:
+        return next((c for c in range(clo, chi + 1) if (a * c * c + k * c + d) % p), None)
+    if not a and not k:
+        return clo if d in (1, -1) and clo <= chi else None
+    roots = []
+    for e in (d - 1, d + 1):
+        if not a:
+            roots.append(-e // k)
+        elif (disc := k * k - 4 * a * e) >= 0:
+            s = math.isqrt(disc)
+            roots += [(-k - s) // (2 * a), (-k + s) // (2 * a)]
+    # a floor quotient is a root only when the division is exact; the check keeps those
+    return min((c for c in roots if clo <= c <= chi and a * c * c + k * c + d in (1, -1)), default=None)
+
+
+def _lex_first(basis: list[list[int]], lo: int, hi: int, p: int) -> tuple | None:
+    """Lexicographically first lattice point x with every entry in [lo, hi]
+    and det x a unit (+-1 for p = 0, prime to p otherwise), or None; requires
+    lo <= 0 <= hi.
 
     With ``basis`` in echelon form and positive pivots, lex order of points is
     lex order of their coefficients.  The walk takes each coefficient in
     ascending order, within the bounds of the entries it fixes: those from its
-    pivot up to the next pivot, or to the end for the last coefficient.
+    pivot up to the next pivot, or to the end for the last coefficient, which
+    :func:`_first_unit` solves for instead.  An empty basis gives None: its
+    one point, zero, has determinant 0.
     """
     pivots = [next(k for k, v in enumerate(row) if v) for row in basis] + [4]
 
     def walk(j: int, x: list[int]) -> tuple | None:
-        if j == len(basis):
-            return tuple(x) if accept(x) else None
         row, clo, chi = basis[j], -math.inf, math.inf
         for k in range(pivots[j], pivots[j + 1]):
             v, y = row[k], x[k]
@@ -313,13 +343,16 @@ def _lex_first(basis: list[list[int]], lo: int, hi: int, accept) -> tuple | None
             lo_k, hi_k = (lo - y, hi - y) if v > 0 else (y - hi, y - lo)
             v = abs(v)
             clo, chi = max(clo, -(-lo_k // v)), min(chi, hi_k // v)
+        if j == len(basis) - 1:
+            c = _first_unit(x, row, clo, chi, p)
+            return None if c is None else tuple(xi + c * vi for xi, vi in zip(x, row))
         for c in range(clo, chi + 1):
             found = walk(j + 1, [xi + c * vi for xi, vi in zip(x, row)])
             if found is not None:
                 return found
         return None
 
-    return walk(0, [0, 0, 0, 0])
+    return walk(0, [0, 0, 0, 0]) if basis else None
 
 
 def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchResult:
@@ -338,7 +371,7 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
     if bound < 1 or bound * max(maxent, 1) >= 2**60:
         raise SolgenusError("scan bound out of supported range")
     basis = _solution_basis(_entries(a), _entries(b))
-    x = _lex_first(basis, -bound, bound, lambda x: _det(x) in (1, -1))
+    x = _lex_first(basis, -bound, bound, 0)
     return BruteSearchResult(None if x is None else ConjugacyWitness(IntMat2(*x), a, b), bound)
 
 
@@ -376,7 +409,7 @@ def _modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
     basis = _solution_basis(a_ent, b_ent, q)
     if not _image_has_unit(basis, p):
         return None
-    return _lex_first(basis, 0, q - 1, lambda x: _det(x) % p)
+    return _lex_first(basis, 0, q - 1, p)
 
 
 def _crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:

@@ -18,7 +18,6 @@ from itertools import combinations
 
 from .conjugacy import (
     BruteSearchResult,
-    ConjugacyWitness,
     ProfiniteEvidence,
     are_conjugate_gl2z,
     brute_force_conjugator,
@@ -42,18 +41,20 @@ class TheoremBranch(Enum):
 
 @dataclass(frozen=True)
 class PairEvidence:
-    """Evidence about one pair of class representatives (indices into the rep list)."""
+    """The ``full`` scans of one pair of class representatives."""
 
-    i: int
-    j: int
-    gl2z_witness: ConjugacyWitness | None  # expected None: reps are non-conjugate
-    brute: BruteSearchResult | None
-    modular: ProfiniteEvidence | None
+    brute: BruteSearchResult
+    modular: ProfiniteEvidence
 
 
 @dataclass(frozen=True)
 class Evidence:
+    """The class key of each representative, pairwise distinct, so no two are
+    GL2(Z)-conjugate; at ``full`` also the scans of every pair i < j of
+    representatives, in lexicographic order of (i, j)."""
+
     level: str
+    keys: tuple[tuple[int, int], ...]
     pairs: tuple[PairEvidence, ...]
 
 
@@ -134,18 +135,16 @@ def presentation(m: IntMat2) -> str:
 
 def _pair_evidence(reps: LMSet, level: str) -> Evidence:
     classes = class_set(reps.disc)
-    keys = [class_key(m, classes) for m in reps.reps]
-    pairs = []
-    for (i, a), (j, b) in combinations(enumerate(reps.reps), 2):
-        w = are_conjugate_gl2z(a, b) if keys[i] == keys[j] else None
-        if w is None and keys[i] == keys[j]:
-            raise SolgenusError(f"representatives {i} and {j} share a class key but no conjugator")
-        brute = modular = None
-        if level == "full":
-            brute = brute_force_conjugator(a, b, 50)
-            modular = modular_table(a, b, range(2, 31))
-        pairs.append(PairEvidence(i, j, w, brute, modular))
-    return Evidence(level, tuple(pairs))
+    keys = tuple(class_key(m, classes) for m in reps.reps)
+    if len(set(keys)) < len(keys):
+        raise SolgenusError("two representatives share a class key: the enumeration is not one per class")
+    pairs = ()
+    if level == "full":
+        pairs = tuple(
+            PairEvidence(brute_force_conjugator(a, b, 50), modular_table(a, b, range(2, 31)))
+            for a, b in combinations(reps.reps, 2)
+        )
+    return Evidence(level, keys, pairs)
 
 
 def canonical(m: IntMat2) -> CanonicalData | None:
@@ -176,9 +175,11 @@ def canonical(m: IntMat2) -> CanonicalData | None:
 def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
     """Full genus report for the monodromy m; see module docstring for routing.
 
-    evidence_level: "none", "fast" (a GL2(Z) verdict for every pair from one
-    class key per representative), or "full" (adds a bound-50 exhaustive
-    conjugator scan and a mod-m witness table up to 30 for every pair).
+    evidence_level: "none", "fast" (one class key per representative; keys
+    that are pairwise distinct prove the representatives pairwise
+    non-conjugate in GL2(Z), and equal keys raise SolgenusError), or "full"
+    (adds a bound-50 exhaustive conjugator scan and a mod-m witness table up
+    to 30 for every pair).
     """
     if evidence_level not in ("none", "fast", "full"):
         raise ValueError(f"unknown evidence level {evidence_level!r}")

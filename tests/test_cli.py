@@ -3,10 +3,13 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mat
-from solgenus import SolgenusError
-from solgenus.cli import main, survey_rows
+from solgenus import SolgenusError, genus
+from solgenus.cli import _compact, genus_report_dict, main, render_json, survey_rows
+from solgenus.matrices import parse_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -269,3 +272,64 @@ def test_classnumber_enumeration_failure_exit_one(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "classnumber", "1000009")
     forms._class_set_cached.cache_clear()
     assert code == 1 and out == "" and "error" in err
+
+
+_BIG = 2**53 - 1
+
+
+def _json_reference(obj):
+    """obj with the big-integer rule applied, ready for json.dumps."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) > _BIG else obj
+    if isinstance(obj, (list, tuple)):
+        return [_json_reference(x) for x in obj]
+    return {k: _json_reference(v) for k, v in obj.items()}
+
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\r\x00\x1f\x7f⟨⁻¹⟩é\u2028'), st.characters()), max_size=8)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([_BIG, -_BIG, _BIG + 1, -_BIG - 1, 0]),
+    _text,
+)
+_values = st.recursive(
+    _scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_text, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(_values, max_size=4), st.dictionaries(_text, _values, max_size=4)))
+def test_json_writer_matches_json_dumps(obj):
+    ref = _json_reference(obj)
+    assert render_json(obj) == json.dumps(ref, indent=2) + "\n"
+    assert _compact(obj) == json.dumps(ref)
+
+
+def test_json_writer_rejects_other_shapes():
+    for bad in ({"x": 1.5}, [object()], {1: 2}):
+        with pytest.raises(TypeError):
+            render_json(bad)
+
+
+@pytest.mark.parametrize("matrix, level", [("0 1; 1 1026", "fast"), ("6 1; 1 0", "full")])
+def test_genus_report_bytes_match_json_dumps(capsys, matrix, level):
+    # the default report at (t, n) = (1026, -1), h_order = 100, and a
+    # full-evidence report, against json.dumps of the same report dict
+    expected = json.dumps(_json_reference(genus_report_dict(genus(parse_matrix(matrix), level))), indent=2)
+    code, out, _ = run_cli(capsys, "genus", matrix, "--evidence", level)
+    assert code == 0 and out == expected + "\n"
+    data = json.loads(out)
+    h = data["h_order"]
+    assert h > 1 and len(data["evidence"]["pairs"]) == h * (h - 1) // 2
+    assert ("mod_m" in data["evidence"]["pairs"][0]) == (level == "full")

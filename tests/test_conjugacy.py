@@ -192,7 +192,7 @@ def _normal_form_target(m):
     return mat(e, math.gcd(m.a - e, m.b, m.c, m.d - e), 0, e)
 
 
-def test_integral_normal_form_on_box():
+def test_canonical_form_on_box():
     box = [m for m in unimodular_box(12) if char_poly(m).disc in (0, 4)]
     assert len(box) == 478
     targets = {}
@@ -244,6 +244,27 @@ def test_brute_force_lexicographic_first():
     res = brute_force_conjugator(a, a, 2)
     # every unimodular commutant is a witness; the lex-first has p11 = -2
     assert res.witness.P.a == -2
+
+
+def test_brute_force_solves_last_coefficient():
+    # the commutant of T is [[x, y], [0, x]] with det x^2: the rows x = -1000
+    # .. -2 hold no witness, and each is refuted without walking its 2001 y
+    t = mat(1, 1, 0, 1)
+    assert brute_force_conjugator(t, t, MAX_SCAN_BOUND).witness.P == mat(-1, -MAX_SCAN_BOUND, 0, -1)
+
+
+def test_first_unit_matches_scan():
+    rng = random.Random(1103)
+    hits = 0
+    for _ in range(20000):
+        x = [rng.randint(-4, 4) for _ in range(4)]
+        r = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(4)]
+        clo = rng.randint(-6, 3)
+        chi = clo + rng.randint(-1, 8)
+        scan = next((c for c in range(clo, chi + 1) if conjugacy._det([u + c * v for u, v in zip(x, r)]) in (1, -1)), None)
+        assert conjugacy._first_unit(x, r, clo, chi, 0) == scan, (x, r, clo, chi)
+        hits += scan is not None
+    assert hits > 2000
 
 
 def _box_pairs():
@@ -389,7 +410,7 @@ def test_mod_m_crt_agrees_with_monolithic_scan():
             assert (crt_w is not None) == (mono is not None), (a, b, m)
 
 
-def test_profinite_evidence():
+def test_modular_table_witnessed():
     a = mat(2, 1, 1, 1)
     ev = modular_table(a, a, range(2, 11))
     assert ev.consistent and all(w is not None for _, w in ev.levels)
@@ -399,7 +420,7 @@ def test_profinite_evidence():
     assert ev.consistent
 
 
-def test_profinite_evidence_refutation():
+def test_modular_table_refutation():
     # same char poly but different form content: already non-conjugate mod 2
     ev = modular_table(mat(0, 1, 1, 4), mat(1, 2, 2, 3), range(2, 7))
     assert not ev.consistent and ev.refuted_at == 2

@@ -99,13 +99,13 @@ def reduced(q: BQForm) -> tuple[int, int, int]:
     return forms._reduce(q.triple(), q.disc)[0]
 
 
-def test_reduce_definite_examples():
+def test_reduce_examples_definite():
     assert reduced(BQForm(1, 0, 1)) == (1, 0, 1)
     assert reduced(BQForm(2, 2, 3)) == (2, 2, 3)
     assert reduced(BQForm(3, 2, 1)) == (1, 0, 2)
 
 
-def test_reduce_definite_idempotent_and_class_invariant():
+def test_reduce_idempotent_and_class_invariant_definite():
     rng = random.Random(4242)
     seeds = [BQForm(1, 0, 1), BQForm(1, 1, 1), BQForm(2, 2, 3), BQForm(1, 1, 6), BQForm(2, 1, 3)]
     for _ in range(2000):

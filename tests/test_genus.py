@@ -37,7 +37,7 @@ def test_genus_examples():
     r = genus(mat(6, 1, 1, 0), evidence_level="fast")
     assert (r.genus, r.geometry) == (2, GeometryLabel.SOL)
     assert r.representatives.count == 2
-    assert all(not p.gl2z_witness for p in r.evidence.pairs)
+    assert len(set(r.evidence.keys)) == 2 and r.evidence.pairs == ()
 
 
 def test_genus_rejects_bad_input():
@@ -190,8 +190,9 @@ def test_full_evidence_sweep_conductor_one():
             if order_disc(p).f != 1:
                 continue
             r = genus(mat(0, -n, 1, t), evidence_level="full")
+            h = r.representatives.count
+            assert len(set(r.evidence.keys)) == h and len(r.evidence.pairs) == h * (h - 1) // 2
             for pair in r.evidence.pairs:
-                assert pair.gl2z_witness is None
                 assert pair.brute.witness is None and pair.brute.bound == 50
                 assert pair.modular.consistent and pair.modular.m_max == 30
 
@@ -248,7 +249,7 @@ def test_fast_evidence_makes_one_key_per_representative(monkeypatch):
     _class_set_cached.cache_clear()
     report = genus(companion(CharPoly(1026, -1)))
     n = report.representatives.count
-    assert n > 90 and len(report.evidence.pairs) == n * (n - 1) // 2
+    assert n > 90 and len(set(report.evidence.keys)) == n and report.evidence.pairs == ()
     # distinct keys need no decision; D and D0 are factored once each
     assert decided == []
     assert len(factored) <= 2
@@ -265,3 +266,17 @@ def test_survey_rows_match_genus_reports():
         expected = (r.disc.D, r.disc.D0, r.disc.f, r.geometry.value, r.branch.value)
         assert (row.D, row.D0, row.f, row.geometry, row.branch) == expected, row
         assert (row.h_field, row.h_order, row.genus, row.rigid) == (r.h_field, r.h_order, r.genus, r.rigid), row
+
+
+def test_equal_class_keys_raise(monkeypatch):
+    import importlib
+
+    from solgenus import SolgenusError
+
+    # equal keys would mean two enumerated representatives are conjugate
+    module = importlib.import_module("solgenus.genus")
+    monkeypatch.setattr(module, "class_key", lambda m, classes=None: (1, 0))
+    for level in ("fast", "full"):
+        with pytest.raises(SolgenusError, match="share a class key"):
+            genus(mat(6, 1, 1, 0), level)
+    assert genus(mat(6, 1, 1, 0), "none").evidence is None
