@@ -35,8 +35,11 @@ def _export(rev: str, dest: Path) -> None:
     archive = dest / "parent.tar"
     with archive.open("wb") as f:
         subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, stdout=f)
+    # the "data" filter refuses links and paths that leave the tree; Python 3.12
+    # warns when no filter is given, and 3.14 makes it the default
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree")
+        tar.extractall(dest / "tree", **safe)
     archive.unlink()
 
 

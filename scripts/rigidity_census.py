@@ -30,7 +30,7 @@ def main() -> None:
     print(f"\ncells where order-level and field-level class numbers differ: {len(split)}")
     for r in split:
         print(
-            f"  t={r.t:>4} n={r.n:>2}  D={r.D:>6} = {r.f}^2 * {r.D0:<5} "
+            f"  t={r.char.t:>4} n={r.char.n:>2}  D={r.disc.D:>6} = {r.disc.f}^2 * {r.disc.D0:<5} "
             f"h_field={r.h_field} h_order={r.h_order}"
         )
 

@@ -1,4 +1,4 @@
-"""Command-line front end: subcommand dispatch, rendering, and batch survey.
+"""Command-line front end: subcommand dispatch, argument parsing and rendering.
 
 Output formats are byte-stable for fixed inputs and flags.  Integers whose
 magnitude exceeds 2^53 - 1 are emitted as decimal strings in JSON so that
@@ -157,7 +157,7 @@ def genus_report_dict(r: GenusReport) -> dict:
             raise SolgenusError("a genus report must carry at least one representative")
     canonical = None
     if r.canonical is not None:
-        canonical = {"target": _mat(r.canonical.target), "conjugator": _mat(r.canonical.conjugator)}
+        canonical = {"target": _mat(r.canonical.B), "conjugator": _mat(r.canonical.P)}
     evidence = None
     if r.evidence is not None:
         # distinct class keys: no pair of representatives is conjugate
@@ -292,9 +292,9 @@ def _cmd_canonical(args) -> str:
     report = {
         "matrix": _mat(m),
         "branch": branch_of(char_poly(m)).value,
-        "target": None if c is None else _mat(c.target),
-        "conjugator": None if c is None else _mat(c.conjugator),
-        "verified": c is not None and c.conjugator * m == c.target * c.conjugator,
+        "target": None if c is None else _mat(c.B),
+        "conjugator": None if c is None else _mat(c.P),
+        "verified": c is not None and c.P * m == c.B * c.P,
         "note": note,
     }
     return render(report, args.format)
@@ -308,7 +308,22 @@ SURVEY_FIELDS = ["t", "n", "D", "D0", "f", "geometry", "branch", "h_field", "h_o
 
 
 def _cmd_survey(args) -> str:
-    rows = [{f: getattr(r, f) for f in SURVEY_FIELDS} for r in survey_rows(args.tmax, args.det)]
+    rows = [
+        {
+            "t": r.char.t,
+            "n": r.char.n,
+            "D": r.disc.D,
+            "D0": r.disc.D0,
+            "f": r.disc.f,
+            "geometry": r.geometry.value,
+            "branch": r.branch.value,
+            "h_field": r.h_field,
+            "h_order": r.h_order,
+            "genus": r.genus,
+            "rigid": r.rigid,
+        }
+        for r in survey_rows(args.tmax, args.det)
+    ]
     if args.format == "csv":
         return render_rows_csv(rows, SURVEY_FIELDS)
     if args.format == "table":

@@ -158,8 +158,8 @@ def _primitive_kernel_vector(m: IntMat2) -> tuple[int, int]:
     return v
 
 
-def canonical_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
-    """(C, P) with P*m*P^-1 = C for discriminant 0 or 4.
+def canonical_form(m: IntMat2) -> ConjugacyWitness:
+    """Witness P*m = C*P, C the integral normal form of m, for discriminant 0 or 4.
 
     m has the integer eigenvalue e = (t + sqrt(D)) / 2.  A primitive
     eigenvector u, completed by xgcd to q = [u | w] with det q = 1, gives
@@ -176,7 +176,7 @@ def canonical_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
     e = (p.t + math.isqrt(p.disc)) // 2
     nil = IntMat2(m.a - e, m.b, m.c, m.d - e)
     if nil == IntMat2(0, 0, 0, 0):
-        return m, IntMat2.identity()
+        return ConjugacyWitness(IntMat2.identity(), m, m)
     u0, u1 = _primitive_kernel_vector(nil)
     _, x, y = _xgcd(u0, u1)
     pmat = IntMat2(x, y, -u1, u0)  # q^-1 for w = (-y, x)
@@ -191,9 +191,7 @@ def canonical_form(m: IntMat2) -> tuple[IntMat2, IntMat2]:
         if k % 2:
             canon = IntMat2(0, 1, 1, 0)
             pmat = IntMat2(1, 0, 1, 1) * pmat
-    if pmat * m != canon * pmat:
-        raise SolgenusError(f"integral normal form of {m} failed verification")
-    return canon, pmat
+    return ConjugacyWitness(pmat, m, canon)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -221,11 +219,10 @@ def are_conjugate_gl2z(a: IntMat2, b: IntMat2) -> ConjugacyWitness | None:
     if pa != pb:
         return None
     if pa.disc in (0, 4):
-        ca, qa = canonical_form(a)
-        cb, qb = canonical_form(b)
-        if ca != cb:
+        wa, wb = canonical_form(a), canonical_form(b)
+        if wa.B != wb.B:
             return None
-        return ConjugacyWitness(qb.inverse() * qa, a, b)
+        return ConjugacyWitness(wb.P.inverse() * wa.P, a, b)
     ga, qa, fa = _fixed_form(a)
     gb, qb, fb = _fixed_form(b)
     if ga != gb:

@@ -284,7 +284,6 @@ class FormClassSet:
     """One reduced representative per equivalence class of primitive forms."""
 
     disc: OrderDisc
-    mode: EquivMode
     reps: tuple[BQForm, ...]
     # class index of every reduced triple; reps[i] is the least member of class i
     class_of: dict[tuple[int, int, int], int] = field(compare=False, repr=False)
@@ -343,7 +342,7 @@ def _class_set_cached(od: OrderDisc, mode: EquivMode) -> FormClassSet:
         reps.append(BQForm(*f))
     if class_of.keys() != set(reduced):
         raise SolgenusError(f"the classes of disc {D} do not partition its reduced forms")
-    return FormClassSet(od, mode, tuple(reps), class_of)
+    return FormClassSet(od, tuple(reps), class_of)
 
 
 def class_set(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> FormClassSet:

@@ -18,6 +18,7 @@ from itertools import combinations
 
 from .conjugacy import (
     BruteSearchResult,
+    ConjugacyWitness,
     ProfiniteEvidence,
     are_conjugate_gl2z,
     brute_force_conjugator,
@@ -30,6 +31,14 @@ from .forms import EquivMode, class_count, class_set
 from .ideals import LMSet, companion, lm_representatives
 from .matrices import CharPoly, GeometryLabel, IntMat2, char_poly, geometry, is_square
 from .orders import OrderDisc, order_disc
+
+
+# largest number of representative pairs that the ``full`` evidence level
+# scans.  Each pair costs a bound-50 box scan and a mod-m table to 30: h = 100
+# (4,950 pairs, cell (1026, -1)) took 22 s, wrote 36.8 MB of JSON and peaked
+# at 267 MB RSS (2-core x86-64 VM), and the cost grows as h^2.  The limit
+# keeps h <= 100.
+MAX_FULL_PAIRS = 5000
 
 
 class TheoremBranch(Enum):
@@ -59,15 +68,10 @@ class Evidence:
 
 
 @dataclass(frozen=True)
-class CanonicalData:
-    target: IntMat2
-    conjugator: IntMat2  # conjugator * A * conjugator^-1 == target
-
-
-@dataclass(frozen=True)
 class GenusCount:
     """The class numbers that decide the genus, and the genus they give."""
 
+    char: CharPoly
     geometry: GeometryLabel
     branch: TheoremBranch
     disc: OrderDisc | None  # None when the characteristic polynomial is reducible
@@ -99,9 +103,8 @@ def _class_numbers(od: OrderDisc | None) -> tuple[int, int]:
 @dataclass(frozen=True)
 class GenusReport(GenusCount):
     matrix: IntMat2
-    char: CharPoly
     representatives: LMSet | None
-    canonical: CanonicalData | None
+    canonical: ConjugacyWitness | None  # P*matrix = B*P, B the canonical target
     evidence: Evidence | None
     presentation: str
 
@@ -134,6 +137,9 @@ def presentation(m: IntMat2) -> str:
 
 
 def _pair_evidence(reps: LMSet, level: str) -> Evidence:
+    h = reps.count
+    if level == "full" and (npairs := h * (h - 1) // 2) > MAX_FULL_PAIRS:
+        raise SolgenusError(f"full evidence for {h} representatives is {npairs} pair scans, above {MAX_FULL_PAIRS}")
     classes = class_set(reps.disc)
     keys = tuple(class_key(m, classes) for m in reps.reps)
     if len(set(keys)) < len(keys):
@@ -147,19 +153,19 @@ def _pair_evidence(reps: LMSet, level: str) -> Evidence:
     return Evidence(level, keys, pairs)
 
 
-def canonical(m: IntMat2) -> CanonicalData | None:
-    """Canonical target of m and a verified conjugator to it.
+def canonical(m: IntMat2) -> ConjugacyWitness | None:
+    """Verified witness P*m = B*P whose target B is canonical for m's class.
 
-    With an integer eigenvalue (D = 0 or 4) the target is the integral
-    normal form of :func:`canonical_form`.  Otherwise it is the
-    Latimer-MacDuffee representative with m's class key (for D = -4 the
-    quarter turn), and the conjugator is the witness of one GL2(Z) decision;
-    None when no representative shares the key (the fixed lattice is a module
-    over a larger order, conductor > 1).
+    With an integer eigenvalue (D = 0 or 4) the witness is that of
+    :func:`canonical_form`.  Otherwise B is the Latimer-MacDuffee
+    representative with m's class key (for D = -4 the quarter turn), and the
+    witness is that of one GL2(Z) decision; None when no representative
+    shares the key (the fixed lattice is a module over a larger order,
+    conductor > 1).
     """
     p = char_poly(m)
     if p.disc in (0, 4):
-        return CanonicalData(*canonical_form(m))
+        return canonical_form(m)
     reps = lm_representatives(p)
     classes = class_set(reps.disc)
     key = class_key(m, classes)
@@ -169,7 +175,7 @@ def canonical(m: IntMat2) -> CanonicalData | None:
     w = are_conjugate_gl2z(m, target)
     if w is None:
         raise SolgenusError(f"{target} shares the class key of the input but no conjugator")
-    return CanonicalData(target, w.P)
+    return w
 
 
 def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
@@ -179,7 +185,8 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
     that are pairwise distinct prove the representatives pairwise
     non-conjugate in GL2(Z), and equal keys raise SolgenusError), or "full"
     (adds a bound-50 exhaustive conjugator scan and a mod-m witness table up
-    to 30 for every pair).
+    to 30 for every pair; more than MAX_FULL_PAIRS pairs raise SolgenusError
+    before the first scan).
     """
     if evidence_level not in ("none", "fast", "full"):
         raise ValueError(f"unknown evidence level {evidence_level!r}")
@@ -198,13 +205,13 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
         canon = canonical(m)
     h_field, h_order = _class_numbers(od)
     return GenusReport(
+        char=p,
         geometry=geometry(m),
         branch=branch,
         disc=od,
         h_field=h_field,
         h_order=h_order,
         matrix=m,
-        char=p,
         representatives=reps,
         canonical=canon,
         evidence=evidence,
@@ -217,37 +224,19 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    t: int
-    n: int
-    D: int
-    D0: int
-    f: int
-    geometry: str
-    branch: str
-    h_field: int
-    h_order: int
-    genus: int
-    rigid: bool
-
-
-def _survey_cell(t: int, n: int) -> SurveyRow:
+def _survey_cell(t: int, n: int) -> GenusCount:
     p = CharPoly(t, n)
     od = order_disc(p)
-    c = GenusCount(geometry(companion(p)), branch_of(p), od, *_class_numbers(od))
-    return SurveyRow(
-        t, n, od.D, od.D0, od.f, c.geometry.value, c.branch.value, c.h_field, c.h_order, c.genus, c.rigid
-    )
+    return GenusCount(p, geometry(companion(p)), branch_of(p), od, *_class_numbers(od))
 
 
-def survey_rows(tmax: int, det: str = "both") -> list[SurveyRow]:
+def survey_rows(tmax: int, det: str = "both") -> list[GenusCount]:
     """One row per (t, n) cell with hyperbolic real spectrum (D > 0 nonsquare).
 
     These are exactly the Sol cells; cells with degenerate or complex spectrum
     are skipped because the genus data there does not depend on (t, n) alone.
-    Rows carry the class numbers and the genus as :func:`genus` decides them,
-    without building the representatives.
+    Each row is the :class:`GenusCount` that :func:`genus` gives the cell's
+    companion matrix, without building the representatives.
     """
     dets = {"both": (-1, 1), "1": (1,), "-1": (-1,)}[det]
     cells = [

@@ -41,7 +41,6 @@ def companion(p: CharPoly) -> IntMat2:
 class LMSet:
     """One matrix per form class of the order, principal class first."""
 
-    p: CharPoly
     disc: OrderDisc
     reps: tuple[IntMat2, ...]
     forms: tuple[BQForm, ...]
@@ -73,4 +72,4 @@ def lm_representatives(p: CharPoly) -> LMSet:
     principal_idx = cs.class_index_of(principal_form(od.D))
     forms = (cs.reps[principal_idx],) + tuple(q for i, q in enumerate(cs.reps) if i != principal_idx)
     reps = (companion(p),) + tuple(multiplication_matrix(q, p) for q in forms[1:])
-    return LMSet(p, od, reps, forms)
+    return LMSet(od, reps, forms)

@@ -68,12 +68,12 @@ def test_criterion_1_trace_zero_rigidity():
             r = genus(m, evidence_level="none")
             assert r.genus == 1 and r.branch is TheoremBranch.TRACE_ZERO
             c = r.canonical
-            assert c is not None and c.conjugator.det() in (1, -1)
-            assert c.conjugator * m == c.target * c.conjugator
+            assert c is not None and c.P.det() in (1, -1)
+            assert c.P * m == c.B * c.P
             if m.det() == 1:
-                assert c.target == IntMat2(0, -1, 1, 0)
+                assert c.B == IntMat2(0, -1, 1, 0)
             elif (m.a % 2, m.b % 2, m.c % 2, m.d % 2) != (1, 0, 0, 1):
-                assert c.target == IntMat2(0, 1, 1, 0)
+                assert c.B == IntMat2(0, 1, 1, 0)
 
 
 def test_criterion_2_repeated_eigenvalue_rigidity():
@@ -89,7 +89,7 @@ def test_criterion_2_repeated_eigenvalue_rigidity():
                 continue
             r = genus(m, evidence_level="none")
             assert r.genus == 1
-            assert r.canonical.conjugator * m == r.canonical.target * r.canonical.conjugator
+            assert r.canonical.P * m == r.canonical.B * r.canonical.P
             seen += 1
         assert seen > 100
 

@@ -211,12 +211,12 @@ def test_survey_byte_stable_and_matches_golden(capsys):
 
 def test_survey_rows_sorted_and_sane():
     rows = survey_rows(12, "both")
-    keys = [(r.t, r.n) for r in rows]
+    keys = [(r.char.t, r.char.n) for r in rows]
     assert keys == sorted(keys)
     for r in rows:
-        assert r.D > 0 and r.D == r.f * r.f * r.D0
+        assert r.disc.D > 0 and r.disc.D == r.disc.f * r.disc.f * r.disc.D0
         assert r.genus == r.h_field and r.rigid == (r.genus == 1)
-        assert r.branch == "MainQuadratic" and r.geometry == "Sol"
+        assert r.branch.value == "MainQuadratic" and r.geometry.value == "Sol"
 
 
 def test_survey_json_and_table(capsys):

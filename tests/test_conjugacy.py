@@ -156,14 +156,12 @@ def test_degenerate_involution_cases():
 
 
 def test_canonical_form_targets():
-    c, p = canonical_form(mat(1, 0, 4, 1))
-    assert c == mat(1, 4, 0, 1) and p * mat(1, 0, 4, 1) == c * p
+    w = canonical_form(mat(1, 0, 4, 1))
+    assert w.B == mat(1, 4, 0, 1) and w.P * mat(1, 0, 4, 1) == w.B * w.P
 
-    c, p = canonical_form(mat(3, 2, -4, -3))
-    assert c == mat(1, 0, 0, -1)
+    assert canonical_form(mat(3, 2, -4, -3)).B == mat(1, 0, 0, -1)
 
-    c, p = canonical_form(mat(2, 1, -3, -2))
-    assert c == mat(0, 1, 1, 0)
+    assert canonical_form(mat(2, 1, -3, -2)).B == mat(0, 1, 1, 0)
 
     with pytest.raises(DegenerateSpectrum):
         canonical_form(mat(2, 1, 1, 1))
@@ -176,8 +174,8 @@ def test_canonical_form_exhaustive_traceless_box():
             continue
         if p.t == 0 and p.n == 1:
             continue  # irreducible route, covered elsewhere
-        c, q = canonical_form(m)
-        assert q * m == c * q and q.det() in (1, -1)
+        w = canonical_form(m)
+        assert w.P * m == w.B * w.P and w.P.det() in (1, -1)
 
 
 def _normal_form_target(m):
@@ -197,10 +195,10 @@ def test_canonical_form_on_box():
     assert len(box) == 478
     targets = {}
     for m in box:
-        c, q = canonical_form(m)
-        assert c == _normal_form_target(m), m
-        assert q.det() in (1, -1) and q * m == c * q
-        targets[m] = c
+        w = canonical_form(m)
+        assert w.B == _normal_form_target(m), m
+        assert w.P.det() in (1, -1) and w.P * m == w.B * w.P
+        targets[m] = w.B
     small = [m for m in box if max(abs(x) for x in (m.a, m.b, m.c, m.d)) <= 6]
     pairs = [(a, b) for a in small for b in small if char_poly(a) == char_poly(b)]
     assert len(pairs) == 12674

@@ -325,3 +325,5 @@ def test_forms_equivalent_symmetric_and_exact():
 def test_forms_equivalent_disc_mismatch():
     with pytest.raises(DiscriminantMismatch):
         forms_equivalent(BQForm(1, 1, -1), BQForm(1, 6, -1))
+    with pytest.raises(DiscriminantMismatch):
+        class_set(5).class_index_of(BQForm(1, 6, -1))

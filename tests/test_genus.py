@@ -17,7 +17,6 @@ from solgenus import (
     lm_representatives,
     presentation,
 )
-from solgenus.genus import CanonicalData
 from solgenus.matrices import is_square
 
 from helpers import mat, random_unimodular, unimodular_box
@@ -26,7 +25,7 @@ from helpers import mat, random_unimodular, unimodular_box
 def test_genus_examples():
     r = genus(mat(0, -1, 1, 0))
     assert (r.genus, r.branch, r.h_field) == (1, TheoremBranch.TRACE_ZERO, 1)
-    assert r.canonical is not None and r.canonical.target == mat(0, -1, 1, 0)
+    assert r.canonical is not None and r.canonical.B == mat(0, -1, 1, 0)
 
     r = genus(mat(1, 1, 0, 1))
     assert (r.genus, r.branch) == (1, TheoremBranch.REPEATED_ONE)
@@ -52,7 +51,7 @@ def test_genus_trace_zero_canonical_verified():
         r = genus(m)
         assert r.branch == TheoremBranch.TRACE_ZERO and r.genus == 1
         c = r.canonical
-        assert c.conjugator * m == c.target * c.conjugator
+        assert c.P * m == c.B * c.P
 
 
 def test_canonical_quarter_turn_by_class_key_on_box():
@@ -62,8 +61,8 @@ def test_canonical_quarter_turn_by_class_key_on_box():
     assert box
     for m in box:
         c = canonical(m)
-        assert c.target == mat(0, -1, 1, 0)
-        assert c.conjugator.det() in (1, -1) and c.conjugator * m == c.target * c.conjugator
+        assert c.B == mat(0, -1, 1, 0)
+        assert c.P.det() in (1, -1) and c.P * m == c.B * c.P
         with pytest.raises(DegenerateSpectrum):
             canonical_form(m)
 
@@ -74,7 +73,7 @@ def test_genus_repeated_branch():
         assert r.branch in (TheoremBranch.REPEATED_ONE, TheoremBranch.REPEATED_MINUS_ONE)
         assert r.genus == 1 and r.h_field == 1
         c = r.canonical
-        assert c.conjugator * m == c.target * c.conjugator
+        assert c.P * m == c.B * c.P
 
 
 def test_canonical_targets_in_library():
@@ -88,12 +87,12 @@ def test_canonical_targets_in_library():
             v = random_unimodular(rng, 8)
             m = v * companion(p) * v.inverse()
             c = canonical(m)
-            assert c is not None and c.target == reps[0]
-            assert c.conjugator.det() in (1, -1) and c.conjugator * m == c.target * c.conjugator
+            assert c is not None and c.B == reps[0]
+            assert c.P.det() in (1, -1) and c.P * m == c.B * c.P
     # a lattice over a strictly larger order matches no representative
     assert canonical(mat(1, 2, 2, 3)) is None
     for m in (mat(2, 1, -3, -2), mat(-1, 4, 0, -1)):
-        assert canonical(m) == CanonicalData(*canonical_form(m))
+        assert canonical(m) == canonical_form(m)
 
 
 def test_genus_conductor_discrepancy_surfaced():
@@ -262,9 +261,9 @@ def test_survey_rows_match_genus_reports():
     rows = survey_rows(30, "both")
     assert len(rows) == 116
     for row in rows:
-        r = genus(companion(CharPoly(row.t, row.n)), "none")
-        expected = (r.disc.D, r.disc.D0, r.disc.f, r.geometry.value, r.branch.value)
-        assert (row.D, row.D0, row.f, row.geometry, row.branch) == expected, row
+        r = genus(companion(row.char), "none")
+        expected = (r.char, r.disc, r.geometry, r.branch)
+        assert (row.char, row.disc, row.geometry, row.branch) == expected, row
         assert (row.h_field, row.h_order, row.genus, row.rigid) == (r.h_field, r.h_order, r.genus, r.rigid), row
 
 
@@ -280,3 +279,40 @@ def test_equal_class_keys_raise(monkeypatch):
         with pytest.raises(SolgenusError, match="share a class key"):
             genus(mat(6, 1, 1, 0), level)
     assert genus(mat(6, 1, 1, 0), "none").evidence is None
+
+
+def test_full_evidence_pair_limit(monkeypatch, capsys):
+    import importlib
+
+    from solgenus import SolgenusError
+    from solgenus.cli import main
+
+    module = importlib.import_module("solgenus.genus")
+    m = companion(CharPoly(26, -1))  # h_order = 4: 6 pairs
+    monkeypatch.setattr(module, "MAX_FULL_PAIRS", 6)
+    assert len(genus(m, "full").evidence.pairs) == 6
+
+    def scan(*args):
+        raise AssertionError("a scan ran past the pair limit")
+
+    monkeypatch.setattr(module, "MAX_FULL_PAIRS", 5)
+    monkeypatch.setattr(module, "brute_force_conjugator", scan)
+    monkeypatch.setattr(module, "modular_table", scan)
+    with pytest.raises(SolgenusError, match="6 pair scans, above 5"):
+        genus(m, "full")
+    assert main(["genus", "0 1; 1 26", "--evidence", "full"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(genus(m, "fast").evidence.keys) == 4
+
+
+def test_survey_builds_each_class_set_once():
+    # D = t^2 - 4n is even in t, so the rows for +t reuse the class sets that
+    # the rows for -t built; a bounded cache would build them again
+    from solgenus.forms import _class_set_cached
+    from solgenus.genus import survey_rows
+
+    _class_set_cached.cache_clear()
+    rows = survey_rows(60)
+    discs = {r.disc.D for r in rows} | {r.disc.D0 for r in rows}
+    assert _class_set_cached.cache_info().misses == len(discs)

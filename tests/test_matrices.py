@@ -59,6 +59,8 @@ def test_spectrum_class_examples():
     assert spectrum_class(CharPoly(2, 1)) == SpectrumClass.REPEATED_ONE
     assert spectrum_class(CharPoly(3, 1)) == SpectrumClass.REAL_QUADRATIC
     assert spectrum_class(CharPoly(1, 1)) == SpectrumClass.COMPLEX_QUADRATIC
+    with pytest.raises(ValueError, match="det = \\+-1"):
+        spectrum_class(CharPoly(3, 2))
 
 
 def test_spectrum_class_total_and_unique():
@@ -195,6 +197,10 @@ def test_parse_error_positions():
         parse_matrix("[[1,2],[3,4.5]]")
     with pytest.raises(ParseError):
         parse_matrix("1 2; 3 4; 5 6")
+    # a JSON decoding error reports its position in the text as given
+    with pytest.raises(ParseError) as e:
+        parse_matrix("  [[1, 2], [3,")
+    assert e.value.position == 14
 
 
 @given(small_mats)

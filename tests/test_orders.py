@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from solgenus import (
     CharPoly,
     DegenerateSpectrum,
+    OrderDisc,
     SolgenusError,
     disc_from_int,
     factor,
@@ -78,6 +79,15 @@ def test_order_disc_rejects_degenerate():
         disc_from_int(36)
     with pytest.raises(ValueError):
         disc_from_int(7)  # 3 mod 4
+    # OrderDisc checks its own fields: D = f^2 * D0, f >= 1, D0 fundamental
+    for D, D0, f, why in (
+        (20, 5, 1, "inconsistent"),
+        (0, 5, 0, "inconsistent"),
+        (7, 7, 1, "not 0 or 1 mod 4"),
+        (20, 20, 1, "not a fundamental"),
+    ):
+        with pytest.raises(ValueError, match=why):
+            OrderDisc(D, D0, f)
 
 
 def test_disc_from_int_fundamental_split():

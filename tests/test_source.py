@@ -56,6 +56,8 @@ def test_cli_import_does_not_load_numpy():
         (["genus2_walkthrough.py", "--bound", "1", "--mmax", "60"], 1),
         # box-scan bound past the limit: refused, where it would scan for hours
         (["genus2_walkthrough.py", "--bound", "100000", "--mmax", "2"], 1),
+        # a box-scan bound below 1 is refused too
+        (["genus2_walkthrough.py", "--bound", "0", "--mmax", "2"], 1),
     ],
 )
 def test_scripts_run(script):
@@ -95,3 +97,44 @@ def test_no_unused_private_names():
                 used.add(node.attr)
     unused = [f"{module}:{n}" for module, n in defined if n.startswith("_") and not n.startswith("__") and n not in used]
     assert unused == []
+
+
+def test_bench_pairs_summarise():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    metrics = [
+        {"name": "items_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+    ]
+
+    def side(items, rss, failed=0, correct=True):
+        metrics = {"items_per_s": {"value": items}, "peak_rss_mb": {"value": rss}}
+        return {"failed": failed, "correct": correct, "metrics": metrics}
+
+    parent_items, change_items = [10, 20, 30, 40, 50], [11, 20, 29, 41, 60]
+    parent_rss, change_rss = [100, 100, 100, 100, 100], [90, 100, 110, 99, 100]
+    runs = [
+        {"workload": "survey", "parent": side(p_items, p_rss), "change": side(c_items, c_rss, failed=k % 2)}
+        for k, (p_items, c_items, p_rss, c_rss) in enumerate(zip(parent_items, change_items, parent_rss, change_rss))
+    ]
+    runs.append({"workload": "evidence", "parent": side(5, 50), "change": side(4, 50, correct=False)})
+    out = bench.summarise(runs, metrics)
+
+    assert list(out) == ["survey", "evidence"]
+    survey = out["survey"]
+    assert survey["pairs"] == 5 and survey["failed"] == {"parent": 0, "change": 2}
+    assert survey["correct"] == {"parent": True, "change": True}
+    items = survey["items_per_s"]
+    assert (items["parent_median"], items["change_median"]) == (30, 29)
+    assert items["parent_iqr"] == [15, 45]
+    # higher is better: 11 > 10, 41 > 40 and 60 > 50 win; the tie 20 = 20 counts for neither side
+    assert items["change_wins"] == 3 and items["ratio"] == 29 / 30
+    rss = survey["peak_rss_mb"]
+    # lower is better: 90 and 99 win; the two ties at 100 count for neither side
+    assert rss["change_wins"] == 2 and rss["parent_median"] == rss["change_median"] == 100
+    assert rss["parent_iqr"] == [100, 100]
+
+    evidence = out["evidence"]
+    assert evidence["pairs"] == 1 and evidence["correct"] == {"parent": True, "change": False}
+    assert evidence["items_per_s"]["parent_iqr"] == [5, 5] and evidence["items_per_s"]["change_wins"] == 0
