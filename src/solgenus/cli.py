@@ -13,6 +13,7 @@ import csv
 import io
 import os
 import sys
+from dataclasses import dataclass
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -48,6 +49,8 @@ def _write_json(obj, parts: list[str], nl: str | None) -> None:
         parts.append(str(obj) if -_BIG <= obj <= _BIG else f'"{obj}"')
     elif obj is None or t is bool:
         parts.append(_CONSTANTS[obj])
+    elif t is _KeyPairs:
+        _write_key_pairs(obj.h, parts, nl)
     elif t is dict or t is list or t is tuple:
         opening, closing = "{}" if t is dict else "[]"
         if not obj:
@@ -76,6 +79,28 @@ def _write_json(obj, parts: list[str], nl: str | None) -> None:
         raise TypeError(f"cannot render {t!r} as JSON")
 
 
+@dataclass(frozen=True)
+class _KeyPairs:
+    """The ``fast`` pair list: {"i": i, "j": j, "gl2z_conjugate": false} for
+    each pair i < j of h representatives with pairwise distinct class keys."""
+
+    h: int
+
+
+def _write_key_pairs(h: int, parts: list[str], nl: str | None) -> None:
+    """Append the JSON text of _KeyPairs(h), byte for byte as _write_json writes the dict list."""
+    if h < 2:
+        parts.append("[]")
+        return
+    row = '{"i": %d, "j": %d, "gl2z_conjugate": false}'
+    lead, sep, end = "[", ", ", "]"
+    if nl is not None:
+        inner, key = nl + "  ", nl + "    "
+        row = "{" + key + '"i": %d,' + key + '"j": %d,' + key + '"gl2z_conjugate": false' + inner + "}"
+        lead, sep, end = "[" + inner, "," + inner, nl + "]"
+    parts.append(lead + sep.join(map(row.__mod__, combinations(range(h), 2))) + end)
+
+
 def _mat(m: IntMat2) -> list[list[int]]:
     return [[m.a, m.b], [m.c, m.d]]
 
@@ -88,7 +113,7 @@ def render_json(report: dict) -> str:
 
 
 def _compact(value) -> str:
-    if isinstance(value, (dict, list)):
+    if isinstance(value, (dict, list, tuple, _KeyPairs)):
         parts: list[str] = []
         _write_json(value, parts, None)
         return "".join(parts)
@@ -162,14 +187,16 @@ def genus_report_dict(r: GenusReport) -> dict:
     if r.evidence is not None:
         # distinct class keys: no pair of representatives is conjugate
         h = len(r.evidence.keys)
-        pairs = [{"i": i, "j": j, "gl2z_conjugate": False} for i, j in combinations(range(h), 2)]
-        for entry, pe in zip(pairs, r.evidence.pairs):
-            entry["exhaustive_scan"] = {"bound": pe.brute.bound, "witness_found": pe.brute.witness is not None}
-            entry["mod_m"] = {
-                "m_max": pe.modular.m_max,
-                "verdict": pe.modular.verdict,
-                "witnesses": [{"m": m, "P": None if w is None else _mat(w.P)} for m, w in pe.modular.levels],
-            }
+        pairs = _KeyPairs(h)
+        if r.evidence.pairs:  # full: the scans of each pair go into its record
+            pairs = [{"i": i, "j": j, "gl2z_conjugate": False} for i, j in combinations(range(h), 2)]
+            for entry, pe in zip(pairs, r.evidence.pairs):
+                entry["exhaustive_scan"] = {"bound": pe.brute.bound, "witness_found": pe.brute.witness is not None}
+                entry["mod_m"] = {
+                    "m_max": pe.modular.m_max,
+                    "verdict": pe.modular.verdict,
+                    "witnesses": [{"m": m, "P": None if w is None else _mat(w.P)} for m, w in pe.modular.levels],
+                }
         evidence = {"level": r.evidence.level, "pairs": pairs}
     return {
         "matrix": _mat(r.matrix),

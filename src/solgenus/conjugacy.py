@@ -43,7 +43,6 @@ from functools import lru_cache
 from .errors import DegenerateSpectrum, SolgenusError
 from .forms import _FLIP, BQForm, FormClassSet, class_set, forms_equivalent
 from .matrices import IntMat2, char_poly
-from .orders import factor
 
 # largest prime-power part q of a modulus that the GL2(Z/q) scan accepts.  The
 # lattice walk builds no grid: over q <= 53 its slowest level measured 28 ms
@@ -417,10 +416,24 @@ def _crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
 
 
 def _scan_parts(m: int) -> list[tuple[int, int]]:
-    """(q, p) for each prime-power part q = p^e of m, or an error if m cannot be scanned."""
+    """(q, p) for each prime-power part q = p^e of m, or an error if m cannot be scanned.
+
+    Trial division stops at MAX_SCAN_PRIME_POWER, so a modulus of any size is
+    refused at once rather than factored.
+    """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    split = [(p**e, p) for p, e in factor(m)]
+    split, rest, p = [], m, 2
+    while p * p <= rest and p <= MAX_SCAN_PRIME_POWER:
+        if rest % p == 0:
+            q = 1
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            split.append((q, p))
+        p += 1 if p == 2 else 2
+    if rest > 1:  # a prime when p * p > rest; otherwise all its prime factors exceed the limit
+        split.append((rest, rest))
     if max(q for q, _ in split) > MAX_SCAN_PRIME_POWER:
         raise SolgenusError(f"modulus {m} has a prime-power part above {MAX_SCAN_PRIME_POWER}")
     return split

@@ -1,5 +1,6 @@
 import json
 import os
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import mat
 from solgenus import SolgenusError, genus
-from solgenus.cli import _compact, genus_report_dict, main, render_json, survey_rows
+from solgenus.cli import _compact, _KeyPairs, genus_report_dict, main, render_json, survey_rows
 from solgenus.matrices import parse_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -121,6 +122,22 @@ def test_conj_mod_prime_power_above_limit_exit_one(capsys, monkeypatch):
         assert code == 1 and out == "" and "modulus 59 has a prime-power part above 53" in err, mmax
     with pytest.raises(SolgenusError):
         solgenus.conjugacy.modular_table(mat(0, 1, 1, 6), mat(4, 3, 3, 2), range(2, 60))
+
+
+def test_conj_mod_huge_modulus_refused_without_factoring(capsys, monkeypatch):
+    # a prime near 1e18 is refused by the scan limit, not after trial division to 1e9
+    import solgenus.conjugacy
+    import solgenus.orders
+
+    def no_factor(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(solgenus.orders, "factor", no_factor)
+    monkeypatch.setattr(solgenus.conjugacy, "factor", no_factor, raising=False)
+    for m in ("1000000000000000003", str(2**64), str(53 * 10**18 + 53)):
+        code, out, err = run_cli(capsys, "conj-mod", "2 1; 1 1", "1 1; 1 2", "--m", m)
+        assert code == 1 and out == "", m
+        assert err.splitlines() == [f"error: modulus {m} has a prime-power part above 53"]
 
 
 def test_classnumber(capsys):
@@ -278,7 +295,9 @@ _BIG = 2**53 - 1
 
 
 def _json_reference(obj):
-    """obj with the big-integer rule applied, ready for json.dumps."""
+    """obj with the big-integer rule applied and each _KeyPairs spelled out, ready for json.dumps."""
+    if isinstance(obj, _KeyPairs):
+        return [{"i": i, "j": j, "gl2z_conjugate": False} for i in range(obj.h) for j in range(i + 1, obj.h)]
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, int):
@@ -303,17 +322,37 @@ _values = st.recursive(
         st.lists(kids, max_size=4),
         st.lists(kids, max_size=4).map(tuple),
         st.dictionaries(_text, kids, max_size=4),
+        st.integers(0, 4).map(_KeyPairs),
     ),
     max_leaves=24,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.lists(_values, max_size=4), st.dictionaries(_text, _values, max_size=4)))
+@given(
+    st.one_of(
+        st.lists(_values, max_size=4),
+        st.lists(_values, max_size=4).map(tuple),
+        st.dictionaries(_text, _values, max_size=4),
+    )
+)
 def test_json_writer_matches_json_dumps(obj):
     ref = _json_reference(obj)
     assert render_json(obj) == json.dumps(ref, indent=2) + "\n"
     assert _compact(obj) == json.dumps(ref)
+
+
+@pytest.mark.parametrize("h", [0, 1, 2, 3])
+def test_key_pairs_written_as_dict_list(h):
+    pairs = [{"i": i, "j": j, "gl2z_conjugate": False} for i, j in combinations(range(h), 2)]
+    assert len(pairs) == h * (h - 1) // 2
+    for obj, ref in [
+        (_KeyPairs(h), pairs),
+        ({"evidence": {"level": "fast", "pairs": _KeyPairs(h)}}, {"evidence": {"level": "fast", "pairs": pairs}}),
+        ([1, (_KeyPairs(h),)], [1, [pairs]]),
+    ]:
+        assert render_json(obj) == json.dumps(ref, indent=2) + "\n"
+        assert _compact(obj) == json.dumps(ref)
 
 
 def test_json_writer_rejects_other_shapes():
@@ -333,3 +372,22 @@ def test_genus_report_bytes_match_json_dumps(capsys, matrix, level):
     h = data["h_order"]
     assert h > 1 and len(data["evidence"]["pairs"]) == h * (h - 1) // 2
     assert ("mod_m" in data["evidence"]["pairs"][0]) == (level == "full")
+
+
+@pytest.mark.parametrize("matrix", ["0 1; 1 26", "0 1; 1 1026"])
+def test_genus_table_matches_compact_json_dumps(capsys, matrix):
+    # the cells (26, -1) and (1026, -1); each dict or list value of the table is
+    # its one-line json.dumps
+    report = _json_reference(genus_report_dict(genus(parse_matrix(matrix))))
+    width = max(map(len, report))
+    lines = []
+    for k, v in report.items():
+        if isinstance(v, (dict, list)):
+            text = json.dumps(v)
+        else:
+            text = "-" if v is None else json.dumps(v) if isinstance(v, bool) else str(v)
+        lines.append(f"{k:<{width}}  {text}")
+    code, out, _ = run_cli(capsys, "genus", matrix, "--format", "table")
+    assert code == 0 and out == "\n".join(lines) + "\n"
+    h = report["h_order"]
+    assert h > 1 and len(report["evidence"]["pairs"]) == h * (h - 1) // 2
