@@ -24,19 +24,20 @@ matrix is the identity mod 2 and [[0, 1], [1, 0]] otherwise (the two types
 are already non-conjugate mod 2).  The target is a conjugacy invariant; the
 conjugator is one verified choice among many.
 
-The two oracles use no reduction theory.  The solutions P of P*A = B*P form
-a lattice, and its solutions mod q a lattice containing qZ^4; each has an
-echelon basis from unimodular row operations (Cohen, GTM 138, sec. 2.4).
-:func:`brute_force_conjugator` walks the points of the first inside a box
-and :func:`_modular_scan` those of the second with entries in [0, q), both
-in lexicographic order, up to the first unit determinant.  On the last
-basis row the determinant is a quadratic in the coefficient, so that
-coefficient is solved for, not walked.
+The two oracles use no reduction theory.  P*A - B*P is a linear map M of
+the entries of P, and one diagonal form U*M*V = diag(d), U and V unimodular
+(Cohen, GTM 138, sec. 2.4), gives every solution lattice of a pair: the
+solutions of P*A = B*P are spanned by the columns V_i with d_i = 0, and
+those mod q by the (q / gcd(d_i, q)) V_i.  :func:`brute_force_conjugator`
+walks an echelon basis of the first inside a box and :func:`_modular_scan`
+one of the second with entries in [0, q), both in lexicographic order, up
+to the first unit determinant.  On the last basis row the determinant is a
+quadratic in the coefficient, so that coefficient is solved for, not walked.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,8 +46,8 @@ from .forms import _FLIP, BQForm, FormClassSet, class_set, forms_equivalent
 from .matrices import IntMat2, char_poly
 
 # largest prime-power part q of a modulus that the GL2(Z/q) scan accepts.  The
-# lattice walk builds no grid: over q <= 53 its slowest level measured 28 ms
-# (q = 32, A = B = [[16, 16], [0, 0]], 2-core x86-64 VM), a refuted level
+# lattice walk builds no grid: over q <= 53 its slowest level measured 3.3 ms
+# (q = 32, A = B = [[0, 16], [0, 0]], 2-core x86-64 VM), a refuted level
 # under 1 ms.  Raising the limit changes which moduli are refused.
 MAX_SCAN_PRIME_POWER = 53
 
@@ -146,10 +147,7 @@ def class_key(m: IntMat2, classes: FormClassSet | None = None) -> tuple[int, int
 
 def _primitive_kernel_vector(m: IntMat2) -> tuple[int, int]:
     """Primitive generator of ker(m) for a nonzero singular 2x2 matrix."""
-    if (m.a, m.b) != (0, 0):
-        v = (-m.b, m.a)
-    else:
-        v = (-m.d, m.c)
+    v = (-m.b, m.a) if (m.a, m.b) != (0, 0) else (-m.d, m.c)
     g = math.gcd(abs(v[0]), abs(v[1]))
     v = (v[0] // g, v[1] // g)
     if v[0] < 0 or (v[0] == 0 and v[1] < 0):
@@ -238,11 +236,24 @@ def are_conjugate_gl2z(a: IntMat2, b: IntMat2) -> ConjugacyWitness | None:
 # ---------------------------------------------------------------------------
 
 
-def _echelon(rows: list[list[int]]) -> list[list[int]]:
-    """Row echelon basis of the Z-span of ``rows``: unimodular row operations,
-    positive pivots, zero rows dropped (Cohen, GTM 138, sec. 2.4)."""
+def _clear(x: Sequence[int], y: Sequence[int], k: int) -> tuple[Sequence[int], Sequence[int]]:
+    """A unimodular change of the pair x, y that makes y[k] zero: x[k] | y[k]
+    keeps x, otherwise x[k] becomes gcd(x[k], y[k])."""
+    if not y[k]:
+        return x, y
+    if x[k] and y[k] % x[k] == 0:
+        c = y[k] // x[k]
+        return x, [v - c * u for u, v in zip(x, y)]
+    g, s, t = _xgcd(x[k], y[k])
+    u, v = x[k] // g, y[k] // g
+    return [s * a + t * b for a, b in zip(x, y)], [u * b - v * a for a, b in zip(x, y)]
+
+
+def _echelon(rows: list[Sequence[int]]) -> list[Sequence[int]]:
+    """Row echelon basis of the Z-span of ``rows`` in Z^4: unimodular row
+    operations, positive pivots, zero rows dropped (Cohen, GTM 138, sec. 2.4)."""
     out = []
-    for col in range(len(rows[0])):
+    for col in range(4):
         pivot, rest = None, []
         for r in rows:
             if r[col] == 0:
@@ -250,9 +261,7 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
             elif pivot is None:
                 pivot = r
             else:
-                g, s, t = _xgcd(pivot[col], r[col])
-                u, v = pivot[col] // g, r[col] // g
-                pivot, r = [s * x + t * y for x, y in zip(pivot, r)], [u * y - v * x for x, y in zip(pivot, r)]
+                pivot, r = _clear(pivot, r, col)
                 rest.append(r)
         if pivot is not None:
             out.append(pivot if pivot[col] > 0 else [-x for x in pivot])
@@ -260,32 +269,41 @@ def _echelon(rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _diagonal(k: int) -> list[list[int]]:
-    return [[k * (i == j) for j in range(4)] for i in range(4)]
-
-
 def _det(x: Sequence[int]) -> int:
     return x[0] * x[3] - x[1] * x[2]
 
 
-def _solution_basis(a_ent: tuple, b_ent: tuple, q: int = 0) -> list[list[int]]:
-    """Echelon basis of {x in Z^4 : P*A = B*P (mod q)}, x = (p11, p12, p21, p22).
+@lru_cache(maxsize=1024)
+def _diagonal_form(a_ent: tuple, b_ent: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(d, V) with U*M*V = diag(d) and U, V unimodular, for the matrix M of
+    x -> P*A - B*P, x = (p11, p12, p21, p22) (Cohen, GTM 138, sec. 2.4).
 
-    q = 0 asks for the exact solutions.  Writing P*A - B*P as M x, the rows
-    (M e_i, e_i), together with (q e_i, 0), span {(M x + q z, x)}; the echelon
-    rows whose first half is zero are a basis of the x with M x = 0 (mod q).
+    M x = 0 (mod q) exactly when x = V y with d_i y_i = 0 (mod q) for each i;
+    q = 0 asks for the exact solutions.  V is returned column by column, and
+    the d_i need not divide one another.  The row operations are not recorded.
     """
     a11, a12, a21, a22 = a_ent
     b11, b12, b21, b22 = b_ent
-    m = (
-        (a11 - b11, a21, -b12, 0),
-        (a12, a22 - b11, 0, -b12),
-        (-b21, 0, a11 - b22, a21),
-        (0, -b21, a12, a22 - b22),
-    )
-    rows = [[m[j][i] for j in range(4)] + e for i, e in enumerate(_diagonal(1))]
-    rows += [e + [0] * 4 for e in _diagonal(q) if q]
-    return [r[4:] for r in _echelon(rows) if not any(r[:4])]
+    # column i of M above column i of V: column operations move both
+    cols = [
+        [a11 - b11, a12, -b21, 0, 1, 0, 0, 0],
+        [a21, a22 - b11, 0, -b21, 0, 1, 0, 0],
+        [-b12, 0, a11 - b22, a12, 0, 0, 1, 0],
+        [0, -b12, a21, a22 - b22, 0, 0, 0, 1],
+    ]
+    for k in range(4):
+        # each pass clears row k, then column k; only a gcd step, which lowers
+        # a nonzero |pivot|, can refill row k, so the passes end
+        while True:
+            for i in range(k + 1, 4):
+                cols[k], cols[i] = _clear(cols[k], cols[i], k)
+            if not any(cols[k][k + 1 : 4]):
+                break
+            rows = list(zip(*cols))
+            for j in range(k + 1, 4):
+                rows[k], rows[j] = _clear(rows[k], rows[j], k)
+            cols = list(zip(*rows))
+    return tuple(c[k] for k, c in enumerate(cols)), tuple(tuple(c[4:]) for c in cols)
 
 
 def _first_unit(x: Sequence[int], r: Sequence[int], clo: int, chi: int, p: int) -> int | None:
@@ -366,8 +384,8 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
     maxent = max(abs(x) for x in _entries(a) + _entries(b))
     if bound < 1 or bound * max(maxent, 1) >= 2**60:
         raise SolgenusError("scan bound out of supported range")
-    basis = _solution_basis(_entries(a), _entries(b))
-    x = _lex_first(basis, -bound, bound, 0)
+    d, v = _diagonal_form(_entries(a), _entries(b))
+    x = _lex_first(_echelon([vi for di, vi in zip(d, v) if di == 0]), -bound, bound, 0)
     return BruteSearchResult(None if x is None else ConjugacyWitness(IntMat2(*x), a, b), bound)
 
 
@@ -376,36 +394,23 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
 # ---------------------------------------------------------------------------
 
 
-def _image_has_unit(basis: list[list[int]], p: int) -> bool:
-    """Whether the lattice spanned by ``basis`` holds a matrix with det prime to p.
-
-    Its image mod p is spanned by the pivot-1 rows of the echelon form of the
-    lattice plus pZ^4.  A subspace of singular 2x2 matrices has dimension at
-    most 2, so dimension 3 or more holds a unit.  On the span of u and v, det
-    is the binary form det(u) s^2 + b st + det(v) t^2 with
-    det(u + v) = det(u) + b + det(v), so it vanishes there only if it vanishes
-    at u, v and u + v.
-    """
-    rows = _echelon(basis + _diagonal(p))
-    gens = [r for r in rows if next(v for v in r if v) == 1]
-    if len(gens) > 2:
-        return True
-    tries = gens + [[x + y for x, y in zip(*gens)]] if len(gens) == 2 else gens
-    return any(_det(x) % p for x in tries)
-
-
 @lru_cache(maxsize=1024)
 def _modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
     """First P (lex order) in GL2(Z/q) with P*A = B*P mod q; q = p^k.
 
-    The solutions form a lattice containing qZ^4, whose echelon pivots divide
-    q; the walk visits its points with entries in [0, q).  Whether any has a
-    unit determinant is decided mod p first, so a refuted level is not walked.
+    The solutions are spanned by the (q / gcd(d_i, q)) V_i of
+    :func:`_diagonal_form`, their image mod p by the V_i with q | d_i, which
+    are independent mod p.  A subspace of singular 2x2 matrices has dimension
+    at most 2, so three of those hold a unit; on the span of u and v, det is
+    a binary quadratic form, zero only if it is zero at u, v and u + v.  A
+    refuted level is not walked.
     """
-    basis = _solution_basis(a_ent, b_ent, q)
-    if not _image_has_unit(basis, p):
+    d, v = _diagonal_form(a_ent, b_ent)
+    gens = [vi for di, vi in zip(d, v) if di % q == 0]
+    tries = gens + [[x + y for x, y in zip(*gens)]] if len(gens) == 2 else gens
+    if len(gens) < 3 and not any(_det(x) % p for x in tries):
         return None
-    return _lex_first(basis, 0, q - 1, p)
+    return _lex_first(_echelon([[q // math.gcd(di, q) * x for x in vi] for di, vi in zip(d, v)]), 0, q - 1, p)
 
 
 def _crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
@@ -445,17 +450,11 @@ def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int) -> ModularWitness | None
     Raises SolgenusError, before any scan, when a prime-power part of m
     exceeds MAX_SCAN_PRIME_POWER.
     """
-    parts = []
+    ent, mod = [0] * 4, 1
     for q, p in _scan_parts(m):
-        am = tuple(x % q for x in _entries(a))
-        bm = tuple(x % q for x in _entries(b))
-        w = _modular_scan(am, bm, q, p)
+        w = _modular_scan(_entries(a), _entries(b), q, p)
         if w is None:
             return None
-        parts.append((q, w))
-    ent = list(parts[0][1])
-    mod = parts[0][0]
-    for q, w in parts[1:]:
         ent = [_crt_pair(x, mod, y, q) for x, y in zip(ent, w)]
         mod *= q
     if mod != m:
@@ -482,7 +481,7 @@ class ProfiniteEvidence:
         return f"refuted at m = {self.refuted_at}"
 
 
-def modular_table(a: IntMat2, b: IntMat2, moduli: Sequence[int]) -> ProfiniteEvidence:
+def modular_table(a: IntMat2, b: IntMat2, moduli: Iterable[int]) -> ProfiniteEvidence:
     """GL2(Z/m) conjugacy witness, or None, for every m in ``moduli``, in order.
 
     Every modulus is checked before the first scan, so a modulus that cannot
@@ -490,6 +489,7 @@ def modular_table(a: IntMat2, b: IntMat2, moduli: Sequence[int]) -> ProfiniteEvi
     of a and b may differ.  An empty table is consistent up to m = 1, where
     GL2(Z/1) is trivial.
     """
+    moduli = tuple(moduli)
     for m in moduli:
         _scan_parts(m)
     levels = tuple((m, are_conjugate_mod_m(a, b, m)) for m in moduli)

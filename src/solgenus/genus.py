@@ -35,8 +35,8 @@ from .orders import OrderDisc, order_disc
 
 # largest number of representative pairs that the ``full`` evidence level
 # scans.  Each pair costs a bound-50 box scan and a mod-m table to 30: h = 100
-# (4,950 pairs, cell (1026, -1)) took 22 s, wrote 36.8 MB of JSON and peaked
-# at 267 MB RSS (2-core x86-64 VM), and the cost grows as h^2.  The limit
+# (4,950 pairs, cell (1026, -1)) took 13.5 s, wrote 36.8 MB of JSON and peaked
+# at 275 MB RSS (2-core x86-64 VM), and the cost grows as h^2.  The limit
 # keeps h <= 100.
 MAX_FULL_PAIRS = 5000
 

@@ -124,6 +124,19 @@ def test_conj_mod_prime_power_above_limit_exit_one(capsys, monkeypatch):
         solgenus.conjugacy.modular_table(mat(0, 1, 1, 6), mat(4, 3, 3, 2), range(2, 60))
 
 
+def test_one_diagonal_form_per_pair(capsys):
+    # the box scan and every GL2(Z/q) level of one pair read one diagonal form
+    from solgenus.conjugacy import _diagonal_form, _modular_scan
+
+    for argv in (["genus", "0 1; 1 6", "--evidence", "full"], ["conj-mod", "0 1; 1 6", "4 3; 3 2", "--mmax", "44"]):
+        _diagonal_form.cache_clear()
+        _modular_scan.cache_clear()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
+        assert _diagonal_form.cache_info().misses == 1, argv
+    assert json.loads(out)["all_witnessed"] is True
+
+
 def test_conj_mod_huge_modulus_refused_without_factoring(capsys, monkeypatch):
     # a prime near 1e18 is refused by the scan limit, not after trial division to 1e9
     import solgenus.conjugacy

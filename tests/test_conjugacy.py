@@ -21,9 +21,9 @@ from solgenus import (
     modular_table,
 )
 from helpers import mat, random_unimodular, unimodular_box
-from reference_scans import box_scan, modular_scan, monolithic_scan
+from reference_scans import box_scan, image_has_unit, modular_scan, monolithic_scan, solution_basis
 from solgenus import conjugacy
-from solgenus.conjugacy import MAX_SCAN_BOUND, _fixed_form, _modular_scan
+from solgenus.conjugacy import MAX_SCAN_BOUND, _diagonal_form, _echelon, _fixed_form, _modular_scan
 from solgenus.matrices import is_square
 from solgenus.orders import factor
 
@@ -210,7 +210,7 @@ def test_scan_bound_refused_before_lattice(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the lattice was built")
 
-    monkeypatch.setattr(conjugacy, "_solution_basis", unreachable)
+    monkeypatch.setattr(conjugacy, "_diagonal_form", unreachable)
     monkeypatch.setattr(conjugacy, "_lex_first", unreachable)
     a, b = lm_representatives(CharPoly(6, -1)).reps
     with pytest.raises(SolgenusError):
@@ -343,6 +343,69 @@ def test_modular_scan_matches_numpy_grid_near_identity(q, p):
     assert _modular_scan((1, k % q, 0, 1), (1, 0, 0, 1), q, p) is None
 
 
+def _in_span(x, basis):
+    """Whether x lies in the Z-span of an echelon basis with positive pivots."""
+    x = list(x)
+    for row in basis:
+        k = next(i for i, v in enumerate(row) if v)
+        c, r = divmod(x[k], row[k])
+        if any(x[:k]) or r:
+            return False
+        x = [u - c * v for u, v in zip(x, row)]
+    return not any(x)
+
+
+def _diagonal_lattice(ae, be, q):
+    d, v = _diagonal_form(ae, be)
+    if q == 0:
+        return _echelon([vi for di, vi in zip(d, v) if di == 0])
+    return _echelon([[q // math.gcd(di, q) * x for x in vi] for di, vi in zip(d, v)])
+
+
+def _assert_diagonal_form_matches_echelon(a, b, q, p):
+    ae, be = (a.a, a.b, a.c, a.d), (b.a, b.b, b.c, b.d)
+    new, old = _diagonal_lattice(ae, be, q), solution_basis(ae, be, q)
+    assert all(_in_span(x, old) for x in new) and all(_in_span(x, new) for x in old), (a, b, q)
+    if q:
+        got = _modular_scan(ae, be, q, p)
+        assert (got is not None) == image_has_unit(old, p), (a, b, q)
+        assert got == _modular_scan(_entries_mod(a, q), _entries_mod(b, q), q, p), (a, b, q)
+
+
+_LEVELS = [(0, 0)] + [(q, f[0][0]) for q in range(2, 54) if len(f := factor(q)) == 1]
+
+
+def test_diagonal_form_lattice_matches_echelon_reference():
+    # every ordered pair at q = 0 and at one prime power in turn; the pairs
+    # with one characteristic polynomial, whose lattices are large, at every
+    # third prime power as well
+    box = unimodular_box(2)
+    pairs = [(a, b) for a in box for b in box]
+    assert len(pairs) == 10816 and len(_LEVELS) == 25
+    for i, (a, b) in enumerate(pairs):
+        levels = [_LEVELS[0], _LEVELS[1 + i % 24]]
+        if char_poly(a) == char_poly(b):
+            levels += _LEVELS[2 + i % 3 :: 3]
+        for q, p in levels:
+            _assert_diagonal_form_matches_echelon(a, b, q, p)
+
+
+def test_diagonal_form_lattice_matches_echelon_reference_large_entries():
+    # a 24-letter word puts the entries near 1e30: every level matches the
+    # echelon reference and the residues, and the word is an exact solution
+    word = IntMat2.identity()
+    for k in range(24):
+        word = word * (mat(2, 1, 1, 1) if k % 2 else mat(1, 6, 1, 7))
+    a = mat(0, 1, 1, 6)
+    b = word * a * word.inverse()
+    assert 10**29 < max(abs(x) for x in (b.a, b.b, b.c, b.d)) < 10**31
+    for x, y in ((a, b), (b, a), (b, b)):
+        for q, p in _LEVELS:
+            _assert_diagonal_form_matches_echelon(x, y, q, p)
+    ae, be = (a.a, a.b, a.c, a.d), (b.a, b.b, b.c, b.d)
+    assert _in_span((word.a, word.b, word.c, word.d), _diagonal_lattice(ae, be, 0))
+
+
 def test_brute_vs_forms_agreement_small_box():
     boxed = unimodular_box(2)
     groups = {}
@@ -416,6 +479,14 @@ def test_modular_table_witnessed():
     reps = lm_representatives(CharPoly(6, -1))
     ev = modular_table(reps.reps[0], reps.reps[1], range(2, 13))
     assert ev.consistent
+
+
+def test_modular_table_takes_a_generator():
+    # the moduli are read once: a generator gives the same table as its tuple
+    a, b = mat(0, 1, 1, 4), mat(1, 2, 2, 3)
+    ev = modular_table(a, b, (m for m in range(2, 6)))
+    assert ev == modular_table(a, b, (2, 3, 4, 5))
+    assert ev.m_max == 5 and [m for m, _ in ev.levels] == [2, 3, 4, 5] and ev.refuted_at == 2
 
 
 def test_modular_table_refutation():
