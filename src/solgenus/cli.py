@@ -431,11 +431,12 @@ _DISPATCH = {
     "canonical": _cmd_canonical,
     "survey": _cmd_survey,
 }
+# built once per process: parse_args leaves the parser as it was
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         out = _DISPATCH[args.command](args)
     except (SolgenusError, ValueError) as e:

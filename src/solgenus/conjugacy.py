@@ -375,14 +375,14 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
     Returns the lexicographically first witness (ordered by entries
     (p11, p12, p21, p22)) or a bound-labeled miss.  The scan walks the box
     points of the exact solution lattice of P*A = B*P, with no reduction
-    theory; the supported domain is bound * max|entry| < 2^60.  A bound above
-    MAX_SCAN_BOUND raises SolgenusError before the lattice is built.
+    theory, in Python integers, so the entries of A and B may have any size.
+    A bound below 1 or above MAX_SCAN_BOUND raises SolgenusError before the
+    lattice is built.
     """
     char_poly(a), char_poly(b)
     if bound > MAX_SCAN_BOUND:
         raise SolgenusError(f"scan bound {bound} is above {MAX_SCAN_BOUND}")
-    maxent = max(abs(x) for x in _entries(a) + _entries(b))
-    if bound < 1 or bound * max(maxent, 1) >= 2**60:
+    if bound < 1:
         raise SolgenusError("scan bound out of supported range")
     d, v = _diagonal_form(_entries(a), _entries(b))
     x = _lex_first(_echelon([vi for di, vi in zip(d, v) if di == 0]), -bound, bound, 0)
@@ -444,14 +444,15 @@ def _scan_parts(m: int) -> list[tuple[int, int]]:
     return split
 
 
-def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int) -> ModularWitness | None:
+def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int, parts: list | None = None) -> ModularWitness | None:
     """Witness of conjugacy in GL2(Z/m), assembled prime power by prime power.
 
     Raises SolgenusError, before any scan, when a prime-power part of m
-    exceeds MAX_SCAN_PRIME_POWER.
+    exceeds MAX_SCAN_PRIME_POWER.  ``parts``, the :func:`_scan_parts` of m
+    when the caller holds them, spares dividing m again.
     """
     ent, mod = [0] * 4, 1
-    for q, p in _scan_parts(m):
+    for q, p in _scan_parts(m) if parts is None else parts:
         w = _modular_scan(_entries(a), _entries(b), q, p)
         if w is None:
             return None
@@ -484,14 +485,12 @@ class ProfiniteEvidence:
 def modular_table(a: IntMat2, b: IntMat2, moduli: Iterable[int]) -> ProfiniteEvidence:
     """GL2(Z/m) conjugacy witness, or None, for every m in ``moduli``, in order.
 
-    Every modulus is checked before the first scan, so a modulus that cannot
-    be scanned fails the whole table at once.  The characteristic polynomials
-    of a and b may differ.  An empty table is consistent up to m = 1, where
-    GL2(Z/1) is trivial.
+    Every modulus is split into its parts once, before the first scan, so a
+    modulus that cannot be scanned fails the whole table at once.  The
+    characteristic polynomials of a and b may differ.  An empty table is
+    consistent up to m = 1, where GL2(Z/1) is trivial.
     """
-    moduli = tuple(moduli)
-    for m in moduli:
-        _scan_parts(m)
-    levels = tuple((m, are_conjugate_mod_m(a, b, m)) for m in moduli)
+    checked = [(m, _scan_parts(m)) for m in moduli]
+    levels = tuple((m, are_conjugate_mod_m(a, b, m, parts)) for m, parts in checked)
     refuted = next((m for m, w in levels if w is None), None)
-    return ProfiniteEvidence(max(moduli, default=1), levels, refuted)
+    return ProfiniteEvidence(max((m for m, _ in checked), default=1), levels, refuted)

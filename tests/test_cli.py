@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mat
-from solgenus import SolgenusError, genus
+from solgenus import SolgenusError, cli, genus
 from solgenus.cli import _compact, _KeyPairs, genus_report_dict, main, render_json, survey_rows
 from solgenus.matrices import parse_matrix
 
@@ -404,3 +406,60 @@ def test_genus_table_matches_compact_json_dumps(capsys, matrix):
     assert code == 0 and out == "\n".join(lines) + "\n"
     h = report["h_order"]
     assert h > 1 and len(report["evidence"]["pairs"]) == h * (h - 1) // 2
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    # main reads the parser built at import; it builds none of its own
+    def no_build():
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    code, out, err = run_cli(capsys, "genus", "6 1; 1 0")
+    assert code == 0 and err == "" and json.loads(out)["genus"] == 2
+
+
+# each call next to one that sets the options it leaves at their defaults
+_INTERLEAVED = [
+    ["genus", "6 1; 1 0", "--evidence", "full", "--format", "table"],
+    ["genus", "6 1; 1 0"],
+    ["conj-mod", "0 1; 1 6", "4 3; 3 2", "--m", "12"],
+    ["conj-mod", "0 1; 1 6", "4 3; 3 2"],
+    ["genus", "6 1; 1 0", "--evidence", "some"],
+    ["--help"],
+    ["survey", "--det", "1"],
+    ["survey"],
+]
+
+
+def _exit_code(call, argv):
+    try:
+        return call(argv)
+    except SystemExit as e:
+        return e.code
+
+
+def test_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # the shared parser answers each call of an interleaved sequence as a
+    # fresh parser does, and main answers it as a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
+    monkeypatch.delenv("SOLGENUS_COLOR", raising=False)
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    alone = []
+    for argv in _INTERLEAVED:
+        done = subprocess.run([sys.executable, "-m", "solgenus", *argv], env=env, capture_output=True, text=True)
+        alone.append((done.returncode, done.stdout, done.stderr))
+    codes = [code for code, _, _ in alone]
+    assert codes == [0, 0, 0, 0, 2, 0, 0, 0]
+
+    for argv, expected in zip(_INTERLEAVED, alone):
+        code = _exit_code(main, argv)
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == expected, argv
+
+        def parsed(parser):
+            args = _exit_code(parser.parse_args, argv)
+            capsys.readouterr()
+            return args if isinstance(args, int) else vars(args)
+
+        assert parsed(cli._PARSER) == parsed(cli.build_parser()), argv

@@ -33,6 +33,15 @@ def planted_pair(rng, base):
     return base, p * base * p.inverse()
 
 
+def _word_conjugate() -> tuple[IntMat2, IntMat2, IntMat2]:
+    """(a, b, word) with b = word * a * word^-1; a 24-letter word puts the entries of b near 1e30."""
+    word = IntMat2.identity()
+    for k in range(24):
+        word = word * (mat(2, 1, 1, 1) if k % 2 else mat(1, 6, 1, 7))
+    a = mat(0, 1, 1, 6)
+    return a, word * a * word.inverse(), word
+
+
 def test_fixed_form_examples():
     one, flip = IntMat2.identity(), mat(1, 0, 0, -1)
     assert _fixed_form(mat(0, -1, 1, 3)) == (1, BQForm(1, 3, 1), one)
@@ -219,6 +228,31 @@ def test_scan_bound_refused_before_lattice(monkeypatch):
         brute_force_conjugator(a, b, MAX_SCAN_BOUND)
 
 
+def test_brute_force_big_entries():
+    # the walk is exact in Python integers, so no entry size is refused: each
+    # pair gives its lex-first witness, checked on construction, or a miss
+    a, b, _ = _word_conjugate()
+    big = mat(10**20, 1, 10**20 * (10**20 + 3) - 1, 10**20 + 3)
+    w = mat(1, 1, 1, 2)
+    cases = [
+        (big, big, mat(-1, 0, 0, -1)),
+        (b, b, mat(-1, 0, 0, -1)),
+        # -w and -w^-1: the commutant of big holds no other small matrix
+        (big, w * big * w.inverse(), mat(-1, -1, -1, -2)),
+        (w * big * w.inverse(), big, mat(-2, 1, 1, -1)),
+        # the conjugators of the 31-digit pair are all far outside the box
+        (a, b, None),
+        (b, a, None),
+    ]
+    for bound in (50, MAX_SCAN_BOUND):
+        for x, y, expected in cases:
+            res = brute_force_conjugator(x, y, bound)
+            assert res.bound == bound
+            assert (None if res.witness is None else res.witness.P) == expected, (x, y, bound)
+    with pytest.raises(SolgenusError):
+        brute_force_conjugator(big, big, 0)
+
+
 def test_brute_force_examples():
     a = mat(2, 1, 1, 1)
     # the identity is a witness, so the scan must find one even at bound 1;
@@ -391,13 +425,9 @@ def test_diagonal_form_lattice_matches_echelon_reference():
 
 
 def test_diagonal_form_lattice_matches_echelon_reference_large_entries():
-    # a 24-letter word puts the entries near 1e30: every level matches the
-    # echelon reference and the residues, and the word is an exact solution
-    word = IntMat2.identity()
-    for k in range(24):
-        word = word * (mat(2, 1, 1, 1) if k % 2 else mat(1, 6, 1, 7))
-    a = mat(0, 1, 1, 6)
-    b = word * a * word.inverse()
+    # every level of the 31-digit pair matches the echelon reference and the
+    # residues, and the word is an exact solution
+    a, b, word = _word_conjugate()
     assert 10**29 < max(abs(x) for x in (b.a, b.b, b.c, b.d)) < 10**31
     for x, y in ((a, b), (b, a), (b, b)):
         for q, p in _LEVELS:
@@ -487,6 +517,21 @@ def test_modular_table_takes_a_generator():
     ev = modular_table(a, b, (m for m in range(2, 6)))
     assert ev == modular_table(a, b, (2, 3, 4, 5))
     assert ev.m_max == 5 and [m for m, _ in ev.levels] == [2, 3, 4, 5] and ev.refuted_at == 2
+
+
+def test_modular_table_splits_each_modulus_once(monkeypatch):
+    # the up-front check keeps the parts of each modulus for its level
+    calls = []
+    split = conjugacy._scan_parts
+    monkeypatch.setattr(conjugacy, "_scan_parts", lambda m: calls.append(m) or split(m))
+    a, b = mat(0, 1, 1, 6), mat(4, 3, 3, 2)
+    for moduli in (range(2, 45), [12], [7, 12, 7], []):
+        calls.clear()
+        ev = modular_table(a, b, moduli)
+        assert calls == list(moduli) and ev.consistent, moduli
+    # a lone level divides its modulus itself
+    calls.clear()
+    assert are_conjugate_mod_m(a, b, 12) is not None and calls == [12]
 
 
 def test_modular_table_refutation():
