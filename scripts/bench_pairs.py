@@ -8,8 +8,13 @@ Each pair runs the parent's and the work tree's own, unmodified
 `solbench/run.py --workload W --seed S --seconds T --trace 0` once each,
 one after the other, and alternates which side runs first.  For each
 workload and end-to-end metric of BENCHMARK.json the output records the
-median of each side, the parent's quartiles, and the number of pairs in which
-the change was better, together with every run's raw result.
+median of each side, the parent's quartiles, the number of pairs in which
+the change was better, and the median and quartiles of the per-pair
+change/parent ratios, together with every run's raw result.  The per-pair
+ratios compare runs made minutes apart, so they are less exposed than the
+side medians to the host's speed drifting during a long run.  The peak RSS
+of each `run.py` process itself (`harness_peak_rss_mb`, Linux) is recorded
+and summarised the same way.
 """
 from __future__ import annotations
 
@@ -44,12 +49,32 @@ def _export(rev: str, dest: Path) -> None:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one run.py, with run.py's own peak RSS added.
+
+    run.py is reaped with os.wait4, whose ru_maxrss (KB on Linux) is the peak
+    of run.py and of the worker it waited for; the worker reports its own.
+    Output goes to files, not pipes, so a long output cannot block run.py
+    while this process waits.
+    """
     cmd = [sys.executable, "solbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"error: {cmd} in {tree} exited {done.returncode}: {done.stderr[-2000:]}")
-    return json.loads(done.stdout.splitlines()[-1])
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, cwd=tree, stdout=out, stderr=err)
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {cmd} in {tree} exited {proc.returncode}: {stderr[-2000:]}")
+    result = json.loads(stdout.splitlines()[-1])
+    result["harness_peak_rss_mb"] = usage.ru_maxrss / 1024
+    return result
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -59,8 +84,23 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def _compare(parent: list[float], change: list[float], higher: bool) -> dict:
+    """Side medians, the parent's quartiles, the change's wins (ties count for
+    neither side) and the per-pair change/parent ratios."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    return {
+        "parent_median": statistics.median(parent),
+        "change_median": statistics.median(change),
+        "parent_iqr": _quartiles(parent),
+        "change_wins": sum((c > p) if higher else (c < p) for p, c in zip(parent, change)),
+        "ratio": statistics.median(change) / statistics.median(parent),
+        "pair_ratio_median": statistics.median(ratios),
+        "pair_ratio_iqr": _quartiles(ratios),
+    }
+
+
 def summarise(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and metric: medians, the parent's quartiles and the change's wins."""
+    """Per workload, for each metric and for run.py's own peak RSS: see _compare."""
     out: dict = {}
     for w in dict.fromkeys(r["workload"] for r in runs):
         pairs = [r for r in runs if r["workload"] == w]
@@ -70,19 +110,13 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
             "correct": {side: all(r[side]["correct"] for r in pairs) for side in ("parent", "change")},
         }
         for m in metrics:
-            name, higher = m["name"], m["better"] == "higher"
+            name = m["name"]
             parent = [r["parent"]["metrics"][name]["value"] for r in pairs]
             change = [r["change"]["metrics"][name]["value"] for r in pairs]
-            wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-            row[name] = {
-                "unit": m["unit"],
-                "better": m["better"],
-                "parent_median": statistics.median(parent),
-                "change_median": statistics.median(change),
-                "parent_iqr": _quartiles(parent),
-                "change_wins": wins,
-                "ratio": statistics.median(change) / statistics.median(parent),
-            }
+            row[name] = {"unit": m["unit"], "better": m["better"], **_compare(parent, change, m["better"] == "higher")}
+        parent = [r["parent"]["harness_peak_rss_mb"] for r in pairs]
+        change = [r["change"]["harness_peak_rss_mb"] for r in pairs]
+        row["harness_peak_rss_mb"] = {"unit": "MB", "better": "lower", **_compare(parent, change, False)}
         out[w] = row
     return out
 
@@ -111,7 +145,8 @@ def main() -> int:
                     run[side] = _run(trees[side], w, args.seed, args.seconds)
                 runs.append(run)
                 print(f"pair {k} {w}: " + "  ".join(
-                    f"{side} {run[side]['metrics']['items_per_s']['value']:.4g}/s" for side in order), file=sys.stderr)
+                    f"{side} {run[side]['metrics']['items_per_s']['value']:.4g}/s "
+                    f"(run.py {run[side]['harness_peak_rss_mb']:.0f} MB)" for side in order), file=sys.stderr)
     report = {
         "parent": _git("rev-parse", args.parent),
         "change": f"work tree on {_git('rev-parse', 'HEAD')}",

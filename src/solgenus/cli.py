@@ -280,6 +280,8 @@ def _cmd_conj(args) -> str:
 def _cmd_conj_mod(args) -> str:
     a = parse_matrix(args.matrix_a)
     b = parse_matrix(args.matrix_b)
+    if args.m is None and args.mmax < 2:
+        raise ValueError("mmax must be at least 2")
     moduli = [args.m] if args.m is not None else range(2, args.mmax + 1)
     table = modular_table(a, b, moduli)
     report = {

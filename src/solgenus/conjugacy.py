@@ -26,12 +26,12 @@ conjugator is one verified choice among many.
 
 The two oracles use no reduction theory.  P*A - B*P is a linear map M of
 the entries of P, and one diagonal form U*M*V = diag(d), U and V unimodular
-(Cohen, GTM 138, sec. 2.4), gives every solution lattice of a pair: the
-solutions of P*A = B*P are spanned by the columns V_i with d_i = 0, and
-those mod q by the (q / gcd(d_i, q)) V_i.  :func:`brute_force_conjugator`
-walks an echelon basis of the first inside a box and :func:`_modular_scan`
-one of the second with entries in [0, q), both in lexicographic order, up
-to the first unit determinant.  On the last basis row the determinant is a
+(Cohen, GTM 138, sec. 2.4), gives every solution lattice of a pair: one
+kernel echelon basis K of the V_i with d_i = 0 spans the solutions of
+P*A = B*P, and K with the (q / gcd(d_i, q)) V_i, d_i != 0, those mod q.
+:func:`brute_force_conjugator` walks K inside a box and :func:`_modular_scan`
+the lattice mod q with entries in [0, q), both in lexicographic order, up to
+the first unit determinant.  On the last basis row the determinant is a
 quadratic in the coefficient, so that coefficient is solved for, not walked.
 """
 from __future__ import annotations
@@ -46,17 +46,17 @@ from .forms import _FLIP, BQForm, FormClassSet, class_set, forms_equivalent
 from .matrices import IntMat2, char_poly
 
 # largest prime-power part q of a modulus that the GL2(Z/q) scan accepts.  The
-# lattice walk builds no grid: over q <= 53 its slowest level measured 3.3 ms
+# lattice walk builds no grid: over q <= 53 its slowest level measured 0.85 ms
 # (q = 32, A = B = [[0, 16], [0, 0]], 2-core x86-64 VM), a refuted level
-# under 1 ms.  Raising the limit changes which moduli are refused.
+# under 0.1 ms.  Raising the limit changes which moduli are refused.
 MAX_SCAN_PRIME_POWER = 53
 
 # largest box-scan bound that brute_force_conjugator accepts.  The walk solves
 # for the last coefficient instead of scanning it, so it grows with the bound
 # times the number of rows above the last: with no witness in the box, the two
-# disc-40 representatives took 0.007 s at bound 400, 0.013 s at 800 and
-# 0.017 s at 1000; [[1, 1], [0, 1]] against itself took 0.004 s and the
-# identity, whose lattice has rank 4, 0.010 s at 1000 (2-core x86-64 VM).
+# disc-40 representatives took 0.002 s at bound 400, 0.004 s at 800 and
+# 0.005 s at 1000; [[1, 1], [0, 1]] against itself took 0.0006 s and the
+# identity, whose lattice has rank 4, 0.003 s at 1000 (2-core x86-64 VM).
 MAX_SCAN_BOUND = 1000
 
 
@@ -85,13 +85,16 @@ class ModularWitness:
     B: IntMat2
 
     def __post_init__(self):
-        if self.m < 2:
+        m = self.m
+        if m < 2:
             raise SolgenusError("modulus must be at least 2")
-        lhs = self.P * self.A
-        rhs = self.B * self.P
-        if any((x - y) % self.m for x, y in zip(_entries(lhs), _entries(rhs))):
+        p0, p1, p2, p3 = _entries(self.P)
+        a0, a1, a2, a3 = _entries(self.A)
+        b0, b1, b2, b3 = _entries(self.B)
+        if ((p0 * a0 + p1 * a2 - b0 * p0 - b1 * p2) % m or (p0 * a1 + p1 * a3 - b0 * p1 - b1 * p3) % m
+                or (p2 * a0 + p3 * a2 - b2 * p0 - b3 * p2) % m or (p2 * a1 + p3 * a3 - b2 * p1 - b3 * p3) % m):
             raise SolgenusError("modular witness fails P*A = B*P mod m")
-        if math.gcd(self.P.det(), self.m) != 1:
+        if math.gcd(p0 * p3 - p1 * p2, m) != 1:
             raise SolgenusError("modular witness determinant not invertible mod m")
 
 
@@ -274,9 +277,10 @@ def _det(x: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=1024)
-def _diagonal_form(a_ent: tuple, b_ent: tuple) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(d, V) with U*M*V = diag(d) and U, V unimodular, for the matrix M of
-    x -> P*A - B*P, x = (p11, p12, p21, p22) (Cohen, GTM 138, sec. 2.4).
+def _diagonal_form(a_ent: tuple, b_ent: tuple) -> tuple[tuple[int, ...], tuple, tuple]:
+    """(d, V, K) with U*M*V = diag(d) and U, V unimodular, for the matrix M of
+    x -> P*A - B*P, x = (p11, p12, p21, p22) (Cohen, GTM 138, sec. 2.4), and
+    K the echelon basis of the exact solutions, the V_i with d_i = 0.
 
     M x = 0 (mod q) exactly when x = V y with d_i y_i = 0 (mod q) for each i;
     q = 0 asks for the exact solutions.  V is returned column by column, and
@@ -303,20 +307,19 @@ def _diagonal_form(a_ent: tuple, b_ent: tuple) -> tuple[tuple[int, ...], tuple[t
             for j in range(k + 1, 4):
                 rows[k], rows[j] = _clear(rows[k], rows[j], k)
             cols = list(zip(*rows))
-    return tuple(c[k] for k, c in enumerate(cols)), tuple(tuple(c[4:]) for c in cols)
+    d, v = tuple(c[k] for k, c in enumerate(cols)), tuple(tuple(c[4:]) for c in cols)
+    return d, v, tuple(_echelon([vi for di, vi in zip(d, v) if di == 0]))
 
 
-def _first_unit(x: Sequence[int], r: Sequence[int], clo: int, chi: int, p: int) -> int | None:
-    """Smallest c in [clo, chi] with det(x + c*r) a unit: +-1 for p = 0, prime
-    to p otherwise; or None.
+def _first_unit(a: int, k: int, d: int, clo: int, chi: int, p: int) -> int | None:
+    """Smallest c in [clo, chi] with a*c^2 + k*c + d a unit: +-1 for p = 0,
+    prime to p otherwise; or None.
 
-    det(x + c*r) = a*c^2 + k*c + d.  Mod p the c are scanned: the range has at
-    most q <= 53 values, and a quadratic mod p that is not zero has at most
-    two roots.  Over Z the candidates are the integer roots of
-    a*c^2 + k*c + d -+ 1; when that does not depend on c, every c or none is
-    a root.
+    Mod p the c are scanned: the range has at most q <= 53 values, and a
+    quadratic mod p that is not zero has at most two roots.  Over Z the
+    candidates are the integer roots of a*c^2 + k*c + d -+ 1; when that does
+    not depend on c, every c or none is a root.
     """
-    a, k, d = _det(r), x[0] * r[3] + r[0] * x[3] - x[1] * r[2] - r[1] * x[2], _det(x)
     if p:
         return next((c for c in range(clo, chi + 1) if (a * c * c + k * c + d) % p), None)
     if not a and not k:
@@ -332,7 +335,7 @@ def _first_unit(x: Sequence[int], r: Sequence[int], clo: int, chi: int, p: int) 
     return min((c for c in roots if clo <= c <= chi and a * c * c + k * c + d in (1, -1)), default=None)
 
 
-def _lex_first(basis: list[list[int]], lo: int, hi: int, p: int) -> tuple | None:
+def _lex_first(basis: Sequence[Sequence[int]], lo: int, hi: int, p: int) -> tuple | None:
     """Lexicographically first lattice point x with every entry in [lo, hi]
     and det x a unit (+-1 for p = 0, prime to p otherwise), or None; requires
     lo <= 0 <= hi.
@@ -344,29 +347,37 @@ def _lex_first(basis: list[list[int]], lo: int, hi: int, p: int) -> tuple | None
     :func:`_first_unit` solves for instead.  An empty basis gives None: its
     one point, zero, has determinant 0.
     """
+    if not basis:
+        return None
     pivots = [next(k for k, v in enumerate(row) if v) for row in basis] + [4]
+    # each row r with its pivot k, r[k] > 0, and the later entries it fixes, up to the next pivot
+    rows = [(*r, k, r[k], [(i, r[i]) for i in range(k + 1, end)]) for r, k, end in zip(basis, pivots, pivots[1:])]
+    # on the last row r, det(x + c*r) = a*c^2 + (kx . x)*c + det(x)
+    r = basis[-1]
+    a, kx, top = _det(r), (r[3], -r[2], -r[1], r[0]), len(basis) - 1
 
-    def walk(j: int, x: list[int]) -> tuple | None:
-        row, clo, chi = basis[j], -math.inf, math.inf
-        for k in range(pivots[j], pivots[j + 1]):
-            v, y = row[k], x[k]
-            if v == 0:
-                if not lo <= y <= hi:
-                    return None
-                continue
-            lo_k, hi_k = (lo - y, hi - y) if v > 0 else (y - hi, y - lo)
-            v = abs(v)
-            clo, chi = max(clo, -(-lo_k // v)), min(chi, hi_k // v)
-        if j == len(basis) - 1:
-            c = _first_unit(x, row, clo, chi, p)
-            return None if c is None else tuple(xi + c * vi for xi, vi in zip(x, row))
+    def walk(j: int, x: tuple) -> tuple | None:
+        r0, r1, r2, r3, k, v, rest = rows[j]
+        clo, chi = -((x[k] - lo) // v), (hi - x[k]) // v
+        for k, v in rest:
+            y = x[k]
+            if v > 0:
+                clo, chi = max(clo, -((y - lo) // v)), min(chi, (hi - y) // v)
+            elif v:
+                clo, chi = max(clo, -((hi - y) // -v)), min(chi, (y - lo) // -v)
+            elif not lo <= y <= hi:
+                return None
+        x0, x1, x2, x3 = x
+        if j == top:
+            c = _first_unit(a, kx[0] * x0 + kx[1] * x1 + kx[2] * x2 + kx[3] * x3, x0 * x3 - x1 * x2, clo, chi, p)
+            return None if c is None else (x0 + c * r0, x1 + c * r1, x2 + c * r2, x3 + c * r3)
         for c in range(clo, chi + 1):
-            found = walk(j + 1, [xi + c * vi for xi, vi in zip(x, row)])
+            found = walk(j + 1, (x0 + c * r0, x1 + c * r1, x2 + c * r2, x3 + c * r3))
             if found is not None:
                 return found
         return None
 
-    return walk(0, [0, 0, 0, 0]) if basis else None
+    return walk(0, (0, 0, 0, 0))
 
 
 def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchResult:
@@ -384,8 +395,7 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
         raise SolgenusError(f"scan bound {bound} is above {MAX_SCAN_BOUND}")
     if bound < 1:
         raise SolgenusError("scan bound out of supported range")
-    d, v = _diagonal_form(_entries(a), _entries(b))
-    x = _lex_first(_echelon([vi for di, vi in zip(d, v) if di == 0]), -bound, bound, 0)
+    x = _lex_first(_diagonal_form(_entries(a), _entries(b))[2], -bound, bound, 0)
     return BruteSearchResult(None if x is None else ConjugacyWitness(IntMat2(*x), a, b), bound)
 
 
@@ -398,26 +408,20 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
 def _modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
     """First P (lex order) in GL2(Z/q) with P*A = B*P mod q; q = p^k.
 
-    The solutions are spanned by the (q / gcd(d_i, q)) V_i of
-    :func:`_diagonal_form`, their image mod p by the V_i with q | d_i, which
+    The solutions are spanned by K and the (q / gcd(d_i, q)) V_i, d_i != 0,
+    of :func:`_diagonal_form`, their image mod p by the V_i with q | d_i, which
     are independent mod p.  A subspace of singular 2x2 matrices has dimension
     at most 2, so three of those hold a unit; on the span of u and v, det is
     a binary quadratic form, zero only if it is zero at u, v and u + v.  A
     refuted level is not walked.
     """
-    d, v = _diagonal_form(a_ent, b_ent)
+    d, v, kernel = _diagonal_form(a_ent, b_ent)
     gens = [vi for di, vi in zip(d, v) if di % q == 0]
     tries = gens + [[x + y for x, y in zip(*gens)]] if len(gens) == 2 else gens
     if len(gens) < 3 and not any(_det(x) % p for x in tries):
         return None
-    return _lex_first(_echelon([[q // math.gcd(di, q) * x for x in vi] for di, vi in zip(d, v)]), 0, q - 1, p)
-
-
-def _crt_pair(x1: int, m1: int, x2: int, m2: int) -> int:
-    g, s, _ = _xgcd(m1, m2)
-    if g != 1:
-        raise SolgenusError(f"moduli {m1} and {m2} are not coprime")
-    return (x1 + (x2 - x1) * s % m2 * m1) % (m1 * m2)
+    lattice = [*kernel, *([q // math.gcd(di, q) * x for x in vi] for di, vi in zip(d, v) if di)]
+    return _lex_first(_echelon(lattice), 0, q - 1, p)
 
 
 def _scan_parts(m: int) -> list[tuple[int, int]]:
@@ -451,12 +455,16 @@ def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int, parts: list | None = Non
     exceeds MAX_SCAN_PRIME_POWER.  ``parts``, the :func:`_scan_parts` of m
     when the caller holds them, spares dividing m again.
     """
-    ent, mod = [0] * 4, 1
+    ae, be, ent, mod = _entries(a), _entries(b), [0, 0, 0, 0], 1
     for q, p in _scan_parts(m) if parts is None else parts:
-        w = _modular_scan(_entries(a), _entries(b), q, p)
+        w = _modular_scan(ae, be, q, p)
         if w is None:
             return None
-        ent = [_crt_pair(x, mod, y, q) for x, y in zip(ent, w)]
+        g, s, _ = _xgcd(mod, q)
+        if g != 1:
+            raise SolgenusError(f"moduli {mod} and {q} are not coprime")
+        # x is below mod, so x + t*mod with 0 <= t < q is the residue mod mod*q
+        ent = [x + (y - x) * s % q * mod for x, y in zip(ent, w)]
         mod *= q
     if mod != m:
         raise SolgenusError(f"CRT assembled modulus {mod}, expected {m}")

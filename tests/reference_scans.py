@@ -3,10 +3,11 @@ and the per-level echelon lattices that the walks used before the diagonal form.
 
 The grids are the bodies that ``solgenus.conjugacy.brute_force_conjugator``
 and ``solgenus.conjugacy._modular_scan`` had before they walked the solution
-lattice of P*A = B*P.  They are kept here, unchanged apart from returning the
-bare witness, as the references for the differential tests in
-``test_conjugacy.py``: each must give the same lexicographically first
-witness as the lattice walk.
+lattice of P*A = B*P.  They are kept here as the references for the
+differential tests in ``test_conjugacy.py``: each must give the same
+lexicographically first witness as the lattice walk.  They return the bare
+witness, and the GL2(Z/q) grid is scanned one p11 slice at a time, in the
+same order, so that every level up to q = 53 fits in a few MB.
 
 ``solution_basis`` and ``image_has_unit`` are the bodies that built each
 level's lattice, and decided whether it holds a unit mod p, with two echelon
@@ -42,21 +43,25 @@ def box_scan(a: IntMat2, b: IntMat2, bound: int) -> IntMat2 | None:
 
 
 def modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
-    """First P (lex order) in GL2(Z/q) with P*A = B*P mod q; q = p^k."""
+    """First P (lex order) in GL2(Z/q) with P*A = B*P mod q; q = p^k.
+
+    The grid is scanned one p11 slice of q^3 cells at a time, as in
+    :func:`box_scan`, so a level costs q^3 int64 cells of memory.
+    """
     a11, a12, a21, a22 = a_ent
     b11, b12, b21, b22 = b_ent
-    grid = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1)
-    p11, p12, p21, p22 = grid
-    e1 = (p11 * a11 + p12 * a21 - b11 * p11 - b12 * p21) % q
-    e2 = (p11 * a12 + p12 * a22 - b11 * p12 - b12 * p22) % q
-    e3 = (p21 * a11 + p22 * a21 - b21 * p11 - b22 * p21) % q
-    e4 = (p21 * a12 + p22 * a22 - b21 * p12 - b22 * p22) % q
-    det = (p11 * p22 - p12 * p21) % p
-    mask = (det != 0) & (e1 == 0) & (e2 == 0) & (e3 == 0) & (e4 == 0)
-    if not mask.any():
-        return None
-    i = int(np.argmax(mask))
-    return (int(p11[i]), int(p12[i]), int(p21[i]), int(p22[i]))
+    p12, p21, p22 = np.indices((q, q, q), dtype=np.int64).reshape(3, -1)
+    for p11 in range(q):
+        e1 = (p11 * a11 + p12 * a21 - b11 * p11 - b12 * p21) % q
+        e2 = (p11 * a12 + p12 * a22 - b11 * p12 - b12 * p22) % q
+        e3 = (p21 * a11 + p22 * a21 - b21 * p11 - b22 * p21) % q
+        e4 = (p21 * a12 + p22 * a22 - b21 * p12 - b22 * p22) % q
+        det = (p11 * p22 - p12 * p21) % p
+        mask = (det != 0) & (e1 == 0) & (e2 == 0) & (e3 == 0) & (e4 == 0)
+        if mask.any():
+            i = int(np.argmax(mask))
+            return (p11, int(p12[i]), int(p21[i]), int(p22[i]))
+    return None
 
 
 def monolithic_scan(ae: tuple, be: tuple, m: int) -> tuple | None:

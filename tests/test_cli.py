@@ -108,6 +108,20 @@ def test_conj_mod_range(capsys):
     assert len(data["levels"]) == 11
 
 
+def test_conj_mod_mmax_below_two_exit_one(capsys):
+    # a range below 2 is refused like a single modulus below 2, not answered
+    # with an empty table; --m still takes precedence over --mmax
+    for mmax in ("1", "0", "-3"):
+        code, out, err = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--mmax", mmax)
+        assert (code, out, err) == (1, "", "error: mmax must be at least 2\n"), mmax
+    code, out, err = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--m", "1")
+    assert (code, out, err) == (1, "", "error: modulus must be at least 2\n")
+    code, out, _ = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--m", "5", "--mmax", "1")
+    assert code == 0 and [lv["m"] for lv in json.loads(out)["levels"]] == [5]
+    code, out, _ = run_cli(capsys, "conj-mod", "0 1; 1 6", "4 3; 3 2", "--mmax", "2")
+    assert code == 0 and [lv["m"] for lv in json.loads(out)["levels"]] == [2]
+
+
 def test_conj_mod_prime_power_above_limit_exit_one(capsys, monkeypatch):
     import solgenus.conjugacy
 

@@ -10,6 +10,7 @@ from solgenus import (
     ConjugacyWitness,
     DegenerateSpectrum,
     IntMat2,
+    ModularWitness,
     SolgenusError,
     are_conjugate_gl2z,
     are_conjugate_mod_m,
@@ -40,6 +41,10 @@ def _word_conjugate() -> tuple[IntMat2, IntMat2, IntMat2]:
         word = word * (mat(2, 1, 1, 1) if k % 2 else mat(1, 6, 1, 7))
     a = mat(0, 1, 1, 6)
     return a, word * a * word.inverse(), word
+
+
+# every prime power q = p^k up to MAX_SCAN_PRIME_POWER, as (q, p)
+_PRIME_POWERS = [(q, f[0][0]) for q in range(2, 54) if len(f := factor(q)) == 1]
 
 
 def test_fixed_form_examples():
@@ -294,9 +299,48 @@ def test_first_unit_matches_scan():
         clo = rng.randint(-6, 3)
         chi = clo + rng.randint(-1, 8)
         scan = next((c for c in range(clo, chi + 1) if conjugacy._det([u + c * v for u, v in zip(x, r)]) in (1, -1)), None)
-        assert conjugacy._first_unit(x, r, clo, chi, 0) == scan, (x, r, clo, chi)
+        # det(x + c*r) = det(r)*c^2 + k*c + det(x)
+        k = x[0] * r[3] + r[0] * x[3] - x[1] * r[2] - r[1] * x[2]
+        assert conjugacy._first_unit(conjugacy._det(r), k, conjugacy._det(x), clo, chi, 0) == scan, (x, r, clo, chi)
         hits += scan is not None
     assert hits > 2000
+
+
+def _lex_first_by_enumeration(basis, lo, hi, p):
+    # every point of the box in lex order, kept when it lies in the lattice
+    for x in product(range(lo, hi + 1), repeat=4):
+        det = x[0] * x[3] - x[1] * x[2]
+        if (det % p if p else det in (1, -1)) and _in_span(x, basis):
+            return x
+    return None
+
+
+def test_lex_first_matches_enumeration():
+    # random echelon bases of rank 1 to 4 with positive pivots and entries of
+    # both signs after them, in a box around 0 (p = 0) and in [0, q) (p > 0)
+    rng = random.Random(4099)
+    for trial in range(240):
+        rank = 1 + trial % 4
+        pivots = sorted(rng.sample(range(4), rank))
+        basis = [[0] * k + [rng.choice((1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(3 - k)] for k in pivots]
+        lo, hi, p = (-2, 3, 0) if trial % 2 else (0, rng.choice((3, 4, 5)), rng.choice((2, 3, 5)))
+        got = conjugacy._lex_first(basis, lo, hi, p)
+        assert got == _lex_first_by_enumeration(basis, lo, hi, p), (basis, lo, hi, p)
+    assert conjugacy._lex_first([], -2, 2, 0) is None
+
+
+def test_box_scan_negative_pivot():
+    # the diagonal form gives the kernel vector (-2, -1, 1, 0): its pivot is
+    # negative, the echelon basis flips it, and the rows keep negative entries
+    # after their pivots
+    a, b = mat(-2, -1, -1, 0), mat(-2, 1, 1, 0)
+    d, v, kernel = _diagonal_form((a.a, a.b, a.c, a.d), (b.a, b.b, b.c, b.d))
+    assert (-2, -1, 1, 0) in [vi for di, vi in zip(d, v) if di == 0]
+    assert all(next(x for x in row if x) > 0 for row in kernel)
+    assert any(x < 0 for row in kernel for x in row)
+    for bound in (1, 2, 3, 5, 12):
+        _assert_box_witness_matches_grid(a, b, bound)
+        _assert_box_witness_matches_grid(b, a, bound)
 
 
 def _box_pairs():
@@ -355,9 +399,8 @@ def test_modular_scan_matches_numpy_grid():
     # levels take one pair each, in turn
     same, other = _box_pairs()
     pairs = same[::400] + other[::60] + _lm_pairs()[::6]
-    levels = [(q, f[0][0]) for q in range(2, 54) if len(f := factor(q)) == 1]
-    assert levels[-1] == (53, 53)
-    for i, (q, p) in enumerate(levels):
+    assert _PRIME_POWERS[-1] == (53, 53)
+    for i, (q, p) in enumerate(_PRIME_POWERS):
         for a, b in pairs if q <= 27 else [pairs[i % len(pairs)]]:
             ae, be = _entries_mod(a, q), _entries_mod(b, q)
             assert _modular_scan(ae, be, q, p) == modular_scan(ae, be, q, p), (a, b, q)
@@ -377,6 +420,32 @@ def test_modular_scan_matches_numpy_grid_near_identity(q, p):
     assert _modular_scan((1, k % q, 0, 1), (1, 0, 0, 1), q, p) is None
 
 
+def test_modular_scan_matches_numpy_grid_on_evidence_cells():
+    # the benchmark's evidence cells, every ordered pair of representatives,
+    # at every prime power up to MAX_SCAN_PRIME_POWER
+    cells = ((6, -1), (8, 1), (9, -1), (10, -1), (12, 1))
+    pairs = [(a, b) for t, n in cells for reps in [lm_representatives(CharPoly(t, n)).reps] for a in reps for b in reps]
+    assert len(pairs) == 20 and _PRIME_POWERS[-1] == (53, 53) == (conjugacy.MAX_SCAN_PRIME_POWER,) * 2
+    for q, p in _PRIME_POWERS:
+        for a, b in pairs:
+            ae, be = _entries_mod(a, q), _entries_mod(b, q)
+            assert _modular_scan(ae, be, q, p) == modular_scan(ae, be, q, p), (a, b, q)
+
+
+def test_modular_scan_matches_numpy_grid_on_large_lattices():
+    # A = B = I: every matrix solves, so the kernel has rank 4 and every
+    # level its whole image mod p; the nilpotent [[0, 16], [0, 0]] has
+    # d = (16, 16, 0, 0), so at q = 32 its level lattice is the rank-2
+    # kernel with 2 V_i, d_i = 16, and its image mod 2 has dimension 2
+    ident, nil = (1, 0, 0, 1), (0, 16, 0, 0)
+    assert len(_diagonal_form(ident, ident)[2]) == 4
+    assert sorted(_diagonal_form(nil, nil)[0]) == [0, 0, 16, 16]
+    for q, p in _PRIME_POWERS:
+        for x in (ident, tuple(v % q for v in nil)):
+            assert _modular_scan(x, x, q, p) == modular_scan(x, x, q, p), (x, q)
+    assert _modular_scan(nil, nil, 32, 2) == modular_scan(nil, nil, 32, 2) is not None
+
+
 def _in_span(x, basis):
     """Whether x lies in the Z-span of an echelon basis with positive pivots."""
     x = list(x)
@@ -390,10 +459,10 @@ def _in_span(x, basis):
 
 
 def _diagonal_lattice(ae, be, q):
-    d, v = _diagonal_form(ae, be)
+    d, v, kernel = _diagonal_form(ae, be)
     if q == 0:
-        return _echelon([vi for di, vi in zip(d, v) if di == 0])
-    return _echelon([[q // math.gcd(di, q) * x for x in vi] for di, vi in zip(d, v)])
+        return kernel
+    return _echelon([*kernel, *([q // math.gcd(di, q) * x for x in vi] for di, vi in zip(d, v) if di)])
 
 
 def _assert_diagonal_form_matches_echelon(a, b, q, p):
@@ -406,7 +475,7 @@ def _assert_diagonal_form_matches_echelon(a, b, q, p):
         assert got == _modular_scan(_entries_mod(a, q), _entries_mod(b, q), q, p), (a, b, q)
 
 
-_LEVELS = [(0, 0)] + [(q, f[0][0]) for q in range(2, 54) if len(f := factor(q)) == 1]
+_LEVELS = [(0, 0)] + _PRIME_POWERS
 
 
 def test_diagonal_form_lattice_matches_echelon_reference():
@@ -485,6 +554,37 @@ def test_mod_m_examples():
         are_conjugate_mod_m(a, a, 1)
 
 
+def _one_entry_off(i):
+    """(P, A, B, m): P*A - B*P is nonzero mod m in entry i alone, and det P is a unit mod m."""
+    box = [mat(*e) for e in product(range(-1, 3), repeat=4)]
+    for a, b, q in product(box[::7], box[::5], (mat(1, 0, 0, 1), mat(1, 1, 0, 1), mat(0, 1, 1, 0))):
+        lhs, rhs = q * a, b * q
+        off = [k for k, (x, y) in enumerate(zip((lhs.a, lhs.b, lhs.c, lhs.d), (rhs.a, rhs.b, rhs.c, rhs.d))) if (x - y) % 5]
+        if off == [i]:
+            return q, a, b, 5
+    raise AssertionError(f"no case with entry {i} alone off")
+
+
+def test_modular_witness_checks_relation_and_determinant():
+    a = mat(0, 1, 1, 6)
+    ModularWitness(6, mat(1, 0, 0, 1), a, a)
+    # P*A = B*P holds mod 6 and not over Z
+    ModularWitness(6, mat(1, 0, 0, 1), a, mat(6, 7, 1, 0))
+    for i in range(4):
+        w = _one_entry_off(i)
+        with pytest.raises(SolgenusError, match="fails P\\*A = B\\*P"):
+            ModularWitness(w[3], *w[:3])
+    # 2I commutes with everything; its det 4 is a unit mod 5, not mod 6 or 4
+    ModularWitness(5, mat(2, 0, 0, 2), a, a)
+    for m in (4, 6):
+        with pytest.raises(SolgenusError, match="determinant not invertible"):
+            ModularWitness(m, mat(2, 0, 0, 2), a, a)
+    with pytest.raises(SolgenusError, match="determinant not invertible"):
+        ModularWitness(7, mat(0, 0, 0, 0), a, a)
+    with pytest.raises(SolgenusError, match="at least 2"):
+        ModularWitness(1, mat(1, 0, 0, 1), a, a)
+
+
 def test_mod_m_crt_agrees_with_monolithic_scan():
     reps = lm_representatives(CharPoly(6, -1))
     pairs = [
@@ -499,6 +599,12 @@ def test_mod_m_crt_agrees_with_monolithic_scan():
             be = tuple(x % m for x in (b.a, b.b, b.c, b.d))
             mono = monolithic_scan(ae, be, m)
             assert (crt_w is not None) == (mono is not None), (a, b, m)
+            if crt_w is not None:
+                # each entry is the residue in [0, m) that reduces to every level's witness
+                ent = (crt_w.P.a, crt_w.P.b, crt_w.P.c, crt_w.P.d)
+                assert all(0 <= x < m for x in ent), (a, b, m, ent)
+                for q, p in conjugacy._scan_parts(m):
+                    assert tuple(x % q for x in ent) == _modular_scan(ae, be, q, p), (a, b, m, q)
 
 
 def test_modular_table_witnessed():

@@ -108,9 +108,9 @@ def test_bench_pairs_summarise():
         {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
     ]
 
-    def side(items, rss, failed=0, correct=True):
+    def side(items, rss, failed=0, correct=True, harness_rss=500):
         metrics = {"items_per_s": {"value": items}, "peak_rss_mb": {"value": rss}}
-        return {"failed": failed, "correct": correct, "metrics": metrics}
+        return {"failed": failed, "correct": correct, "metrics": metrics, "harness_peak_rss_mb": harness_rss}
 
     parent_items, change_items = [10, 20, 30, 40, 50], [11, 20, 29, 41, 60]
     parent_rss, change_rss = [100, 100, 100, 100, 100], [90, 100, 110, 99, 100]
@@ -138,3 +138,31 @@ def test_bench_pairs_summarise():
     evidence = out["evidence"]
     assert evidence["pairs"] == 1 and evidence["correct"] == {"parent": True, "change": False}
     assert evidence["items_per_s"]["parent_iqr"] == [5, 5] and evidence["items_per_s"]["change_wins"] == 0
+    assert evidence["items_per_s"]["pair_ratio_median"] == 0.8 and evidence["items_per_s"]["pair_ratio_iqr"] == [0.8, 0.8]
+    assert survey["harness_peak_rss_mb"]["pair_ratio_median"] == 1 and survey["harness_peak_rss_mb"]["change_wins"] == 0
+
+
+def test_bench_pairs_pair_ratios_see_through_host_drift():
+    # the host's speed moved between the two runs of most pairs: the side
+    # medians split to 220 / 300, but the change/parent ratios of the pairs
+    # have median 1.0, and their quartiles straddle it
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher"}]
+
+    def side(items, harness_rss):
+        return {"failed": 0, "correct": True, "metrics": {"items_per_s": {"value": items}},
+                "harness_peak_rss_mb": harness_rss}
+
+    parent, change = [100, 200, 300, 400, 500], [200, 220, 150, 360, 500]
+    runs = [{"workload": "survey", "parent": side(p, 1000 + p), "change": side(c, 1000 + p)}
+            for p, c in zip(parent, change)]
+    items = bench.summarise(runs, metrics)["survey"]["items_per_s"]
+    assert (items["parent_median"], items["change_median"]) == (300, 220)
+    assert items["ratio"] == pytest.approx(220 / 300)
+    assert items["change_wins"] == 2
+    assert items["pair_ratio_median"] == 1.0
+    assert items["pair_ratio_iqr"] == pytest.approx([0.7, 1.55])
+    rss = bench.summarise(runs, metrics)["survey"]["harness_peak_rss_mb"]
+    assert rss["unit"] == "MB" and rss["pair_ratio_median"] == 1.0 and rss["pair_ratio_iqr"] == [1.0, 1.0]
