@@ -6,8 +6,10 @@ its profinite completion) and lists the cells where the order-level and
 field-level class numbers disagree, which only happens at conductor > 1.
 """
 import argparse
+import sys
 from collections import Counter
 
+from solgenus import SolgenusError
 from solgenus.genus import survey_rows
 
 
@@ -36,4 +38,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except SolgenusError as e:
+        # the same one-line error and exit status as the solgenus CLI
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)

@@ -244,6 +244,8 @@ def _cmd_classify(args) -> str:
 
 def _cmd_enumerate(args) -> str:
     if args.matrix is not None:
+        if args.trace is not None or args.det is not None:
+            raise SolgenusError("provide a matrix or --trace and --det, not both")
         p = char_poly(parse_matrix(args.matrix))
     elif args.trace is not None and args.det is not None:
         p = CharPoly(args.trace, args.det)

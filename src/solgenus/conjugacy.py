@@ -44,12 +44,14 @@ from functools import lru_cache
 from .errors import DegenerateSpectrum, SolgenusError
 from .forms import _FLIP, BQForm, FormClassSet, class_set, forms_equivalent
 from .matrices import IntMat2, char_poly
+from .orders import primes_up_to
 
 # largest prime-power part q of a modulus that the GL2(Z/q) scan accepts.  The
 # lattice walk builds no grid: over q <= 53 its slowest level measured 0.85 ms
 # (q = 32, A = B = [[0, 16], [0, 0]], 2-core x86-64 VM), a refuted level
 # under 0.1 ms.  Raising the limit changes which moduli are refused.
 MAX_SCAN_PRIME_POWER = 53
+_SCAN_PRIMES = tuple(primes_up_to(MAX_SCAN_PRIME_POWER))
 
 # largest box-scan bound that brute_force_conjugator accepts.  The walk solves
 # for the last coefficient instead of scanning it, so it grows with the bound
@@ -387,14 +389,12 @@ def brute_force_conjugator(a: IntMat2, b: IntMat2, bound: int) -> BruteSearchRes
     (p11, p12, p21, p22)) or a bound-labeled miss.  The scan walks the box
     points of the exact solution lattice of P*A = B*P, with no reduction
     theory, in Python integers, so the entries of A and B may have any size.
-    A bound below 1 or above MAX_SCAN_BOUND raises SolgenusError before the
+    A bound outside 1..MAX_SCAN_BOUND raises SolgenusError before the
     lattice is built.
     """
     char_poly(a), char_poly(b)
-    if bound > MAX_SCAN_BOUND:
-        raise SolgenusError(f"scan bound {bound} is above {MAX_SCAN_BOUND}")
-    if bound < 1:
-        raise SolgenusError("scan bound out of supported range")
+    if not 1 <= bound <= MAX_SCAN_BOUND:
+        raise SolgenusError(f"scan bound {bound} is outside 1..{MAX_SCAN_BOUND}")
     x = _lex_first(_diagonal_form(_entries(a), _entries(b))[2], -bound, bound, 0)
     return BruteSearchResult(None if x is None else ConjugacyWitness(IntMat2(*x), a, b), bound)
 
@@ -424,45 +424,42 @@ def _modular_scan(a_ent: tuple, b_ent: tuple, q: int, p: int) -> tuple | None:
     return _lex_first(_echelon(lattice), 0, q - 1, p)
 
 
-def _scan_parts(m: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=1024)
+def _scan_parts(m: int) -> tuple[tuple[int, int], ...]:
     """(q, p) for each prime-power part q = p^e of m, or an error if m cannot be scanned.
 
-    Trial division stops at MAX_SCAN_PRIME_POWER, so a modulus of any size is
-    refused at once rather than factored.
+    m is divided only by the primes up to MAX_SCAN_PRIME_POWER, so a modulus
+    of any size is refused at once rather than factored.
     """
     if m < 2:
         raise ValueError("modulus must be at least 2")
-    split, rest, p = [], m, 2
-    while p * p <= rest and p <= MAX_SCAN_PRIME_POWER:
+    split, rest, q = [], m, 1
+    for p in _SCAN_PRIMES:
         if rest % p == 0:
             q = 1
             while rest % p == 0:
                 rest //= p
                 q *= p
             split.append((q, p))
-        p += 1 if p == 2 else 2
-    if rest > 1:  # a prime when p * p > rest; otherwise all its prime factors exceed the limit
-        split.append((rest, rest))
-    if max(q for q, _ in split) > MAX_SCAN_PRIME_POWER:
+            if rest == 1 or q > MAX_SCAN_PRIME_POWER:
+                break
+    if rest > 1 or q > MAX_SCAN_PRIME_POWER:
         raise SolgenusError(f"modulus {m} has a prime-power part above {MAX_SCAN_PRIME_POWER}")
-    return split
+    return tuple(split)
 
 
-def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int, parts: list | None = None) -> ModularWitness | None:
+def are_conjugate_mod_m(a: IntMat2, b: IntMat2, m: int) -> ModularWitness | None:
     """Witness of conjugacy in GL2(Z/m), assembled prime power by prime power.
 
     Raises SolgenusError, before any scan, when a prime-power part of m
-    exceeds MAX_SCAN_PRIME_POWER.  ``parts``, the :func:`_scan_parts` of m
-    when the caller holds them, spares dividing m again.
+    exceeds MAX_SCAN_PRIME_POWER.
     """
     ae, be, ent, mod = _entries(a), _entries(b), [0, 0, 0, 0], 1
-    for q, p in _scan_parts(m) if parts is None else parts:
+    for q, p in _scan_parts(m):
         w = _modular_scan(ae, be, q, p)
         if w is None:
             return None
-        g, s, _ = _xgcd(mod, q)
-        if g != 1:
-            raise SolgenusError(f"moduli {mod} and {q} are not coprime")
+        s = pow(mod, -1, q)
         # x is below mod, so x + t*mod with 0 <= t < q is the residue mod mod*q
         ent = [x + (y - x) * s % q * mod for x, y in zip(ent, w)]
         mod *= q
@@ -493,12 +490,12 @@ class ProfiniteEvidence:
 def modular_table(a: IntMat2, b: IntMat2, moduli: Iterable[int]) -> ProfiniteEvidence:
     """GL2(Z/m) conjugacy witness, or None, for every m in ``moduli``, in order.
 
-    Every modulus is split into its parts once, before the first scan, so a
-    modulus that cannot be scanned fails the whole table at once.  The
-    characteristic polynomials of a and b may differ.  An empty table is
-    consistent up to m = 1, where GL2(Z/1) is trivial.
+    Every modulus is split before the first scan, so a modulus that cannot be
+    scanned fails the whole table at once; each level reads its split from
+    the cache.  The characteristic polynomials of a and b may differ.  An
+    empty table is consistent up to m = 1, where GL2(Z/1) is trivial.
     """
     checked = [(m, _scan_parts(m)) for m in moduli]
-    levels = tuple((m, are_conjugate_mod_m(a, b, m, parts)) for m, parts in checked)
+    levels = tuple((m, are_conjugate_mod_m(a, b, m)) for m, _ in checked)
     refuted = next((m for m, w in levels if w is None), None)
     return ProfiniteEvidence(max((m for m, _ in checked), default=1), levels, refuted)

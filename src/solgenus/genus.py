@@ -35,10 +35,16 @@ from .orders import OrderDisc, order_disc
 
 # largest number of representative pairs that the ``full`` evidence level
 # scans.  Each pair costs a bound-50 box scan and a mod-m table to 30: h = 100
-# (4,950 pairs, cell (1026, -1)) took 13.5 s, wrote 36.8 MB of JSON and peaked
-# at 275 MB RSS (2-core x86-64 VM), and the cost grows as h^2.  The limit
+# (4,950 pairs, cell (1026, -1)) took 5.9 s, wrote 36.8 MB of JSON and peaked
+# at 273 MB RSS (2-core x86-64 VM), and the cost grows as h^2.  The limit
 # keeps h <= 100.
 MAX_FULL_PAIRS = 5000
+
+# largest trace bound that survey_rows accepts.  Every class set stays cached,
+# so memory grows as tmax^2 and time faster: a fresh `survey` process took
+# 2.2 s and 139 MB at tmax 1,000 and 9.0 s and 525 MB at 2,000 (2-core x86-64
+# VM), so 3,000 would need about 1.2 GB.
+MAX_SURVEY_TMAX = 2000
 
 
 class TheoremBranch(Enum):
@@ -236,8 +242,11 @@ def survey_rows(tmax: int, det: str = "both") -> list[GenusCount]:
     These are exactly the Sol cells; cells with degenerate or complex spectrum
     are skipped because the genus data there does not depend on (t, n) alone.
     Each row is the :class:`GenusCount` that :func:`genus` gives the cell's
-    companion matrix, without building the representatives.
+    companion matrix, without building the representatives.  A tmax above
+    MAX_SURVEY_TMAX raises SolgenusError before the first class set is built.
     """
+    if tmax > MAX_SURVEY_TMAX:
+        raise SolgenusError(f"survey tmax {tmax} is above {MAX_SURVEY_TMAX}")
     dets = {"both": (-1, 1), "1": (1,), "-1": (-1,)}[det]
     cells = [
         (t, n)

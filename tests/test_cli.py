@@ -278,6 +278,14 @@ def test_enumerate_missing_args_exit_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_enumerate_matrix_with_trace_or_det_exit_one(capsys):
+    # the matrix would decide the cell, so --trace and --det would be ignored
+    for flags in (["--trace", "5", "--det", "1"], ["--trace", "3"], ["--det", "1"]):
+        code, out, err = run_cli(capsys, "enumerate", "0 1; 1 3", *flags)
+        assert code == 1 and out == "", flags
+        assert err == "error: provide a matrix or --trace and --det, not both\n", flags
+
+
 def test_enumerate_degenerate_exit_one(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--trace", "2", "--det", "1")
     assert code == 1 and "error" in err

@@ -227,8 +227,9 @@ def test_scan_bound_refused_before_lattice(monkeypatch):
     monkeypatch.setattr(conjugacy, "_diagonal_form", unreachable)
     monkeypatch.setattr(conjugacy, "_lex_first", unreachable)
     a, b = lm_representatives(CharPoly(6, -1)).reps
-    with pytest.raises(SolgenusError):
-        brute_force_conjugator(a, b, MAX_SCAN_BOUND + 1)
+    for bound in (MAX_SCAN_BOUND + 1, 0, -1):
+        with pytest.raises(SolgenusError, match=f"^scan bound {bound} is outside 1..{MAX_SCAN_BOUND}$"):
+            brute_force_conjugator(a, b, bound)
     with pytest.raises(AssertionError):
         brute_force_conjugator(a, b, MAX_SCAN_BOUND)
 
@@ -624,20 +625,26 @@ def test_modular_table_takes_a_generator():
     assert ev == modular_table(a, b, (2, 3, 4, 5))
     assert ev.m_max == 5 and [m for m, _ in ev.levels] == [2, 3, 4, 5] and ev.refuted_at == 2
 
+    # a modulus is refused as it is read, so a long range is not held first
+    def up_to_59():
+        yield from range(2, 60)
+        raise AssertionError("read past the refused modulus 59")
 
-def test_modular_table_splits_each_modulus_once(monkeypatch):
-    # the up-front check keeps the parts of each modulus for its level
-    calls = []
+    with pytest.raises(SolgenusError, match="modulus 59 has a prime-power part above 53"):
+        modular_table(a, b, up_to_59())
+
+
+def test_modular_table_splits_each_modulus_once():
+    # the up-front check caches the parts of each modulus for its level
     split = conjugacy._scan_parts
-    monkeypatch.setattr(conjugacy, "_scan_parts", lambda m: calls.append(m) or split(m))
     a, b = mat(0, 1, 1, 6), mat(4, 3, 3, 2)
     for moduli in (range(2, 45), [12], [7, 12, 7], []):
-        calls.clear()
+        split.cache_clear()
         ev = modular_table(a, b, moduli)
-        assert calls == list(moduli) and ev.consistent, moduli
+        assert split.cache_info().misses == len(set(moduli)) and ev.consistent, moduli
     # a lone level divides its modulus itself
-    calls.clear()
-    assert are_conjugate_mod_m(a, b, 12) is not None and calls == [12]
+    split.cache_clear()
+    assert are_conjugate_mod_m(a, b, 12) is not None and split.cache_info().misses == 1
 
 
 def test_modular_table_refutation():

@@ -295,8 +295,16 @@ def test_forms_equivalent_same_cycle():
 
 
 def test_forms_equivalent_distinct_classes_none():
+    # D = -23: distinct reduced definite forms, opposite ones included, are
+    # not equivalent in either mode
+    pairs = [
+        (BQForm(1, 6, -1), BQForm(3, 2, -3)),
+        (BQForm(1, 1, 6), BQForm(2, 1, 3)),
+        (BQForm(2, 1, 3), BQForm(2, -1, 3)),
+    ]
     for mode in (EquivMode.PROPER, EquivMode.IMPROPER):
-        assert forms_equivalent(BQForm(1, 6, -1), BQForm(3, 2, -3), mode) is None
+        for q1, q2 in pairs:
+            assert forms_equivalent(q1, q2, mode) is None, (q1, q2, mode)
 
 
 def test_forms_equivalent_improper_needs_flip():

@@ -316,3 +316,28 @@ def test_survey_builds_each_class_set_once():
     rows = survey_rows(60)
     discs = {r.disc.D for r in rows} | {r.disc.D0 for r in rows}
     assert _class_set_cached.cache_info().misses == len(discs)
+
+
+def test_survey_tmax_above_limit_refused_before_class_sets(capsys, monkeypatch):
+    # memory grows as tmax^2 with every class set cached: refuse at once
+    import importlib
+
+    from solgenus import SolgenusError, forms
+    from solgenus.cli import main
+    from solgenus.genus import MAX_SURVEY_TMAX, survey_rows
+
+    module = importlib.import_module("solgenus.genus")
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a class set was built")
+
+    monkeypatch.setattr(forms, "class_set", unreachable)
+    monkeypatch.setattr(module, "class_set", unreachable)
+    with pytest.raises(SolgenusError, match=f"survey tmax {MAX_SURVEY_TMAX + 1} is above {MAX_SURVEY_TMAX}"):
+        survey_rows(MAX_SURVEY_TMAX + 1)
+    assert main(["survey", "--tmax", "999999"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: survey tmax 999999 is above {MAX_SURVEY_TMAX}\n"
+    # the limit itself is accepted: the first cell reaches the class sets
+    with pytest.raises(AssertionError, match="a class set was built"):
+        survey_rows(MAX_SURVEY_TMAX)

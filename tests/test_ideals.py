@@ -14,10 +14,13 @@ from solgenus import (
     lm_representatives,
     multiplication_matrix,
 )
+from solgenus.conjugacy import class_key
 from solgenus.ideals import companion
 from solgenus.matrices import is_square
+from solgenus.orders import order_disc
 
 from helpers import mat, unimodular_box
+from reference_count import box_classes
 
 
 def test_multiplication_matrix_ideal_basis():
@@ -119,3 +122,24 @@ def test_lm_cross_checked_against_exhaustive_search():
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert brute_force_conjugator(reps[i], reps[j], 25).witness is None
+
+
+def test_box_count_matches_every_overorder():
+    """The reduction-free count of GL2(Z) classes in a box (reference_count)
+    equals the sum of h(f'^2 D0) over f' | f, one class set per order
+    containing Z[lam] (Latimer-MacDuffee), and the merged classes have
+    pairwise distinct class keys.  A box that misses a class fails here; the
+    fix is a larger box, not a skip."""
+    cells = 0
+    for t in range(1, 41):
+        for n in (1, -1):
+            D = t * t - 4 * n
+            if D < 0 or is_square(D):
+                continue
+            od = order_disc(CharPoly(t, n))
+            want = sum(class_count(g * g * od.D0) for g in range(1, od.f + 1) if od.f % g == 0)
+            reps = box_classes(t, n, max(t + 5, 10), 60)
+            assert len(reps) == want, (t, n, reps)
+            assert len({class_key(r) for r in reps}) == want, (t, n)
+            cells += 1
+    assert cells == 78

@@ -51,6 +51,8 @@ def test_cli_import_does_not_load_numpy():
     "script",
     [
         (["rigidity_census.py", "--tmax", "10"], 0),
+        # past the survey limit: refused before the first class set
+        (["rigidity_census.py", "--tmax", "2001"], 1),
         (["genus2_walkthrough.py", "--bound", "5", "--mmax", "8"], 0),
         # modulus 59 is past the scan limit: one error line, as from the CLI
         (["genus2_walkthrough.py", "--bound", "1", "--mmax", "60"], 1),
