@@ -432,7 +432,7 @@ def _scan_parts(m: int) -> tuple[tuple[int, int], ...]:
     of any size is refused at once rather than factored.
     """
     if m < 2:
-        raise ValueError("modulus must be at least 2")
+        raise SolgenusError("modulus must be at least 2")
     split, rest, q = [], m, 1
     for p in _SCAN_PRIMES:
         if rest % p == 0:

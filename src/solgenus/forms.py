@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 from .errors import DiscriminantMismatch, ImprimitiveForm, SolgenusError
 from .matrices import IntMat2, is_square
-from .orders import OrderDisc, disc_from_int, primes_up_to, sqrt_mod_prime
+from .orders import OrderDisc, disc_from_int, factor, kronecker_prime, primes_up_to, sqrt_mod_prime
 
 _SWAP = IntMat2(0, -1, 1, 0)  # q -> (c, -b, a)
 _FLIP = IntMat2(1, 0, 0, -1)  # det -1 reflection
@@ -352,7 +352,72 @@ def class_set(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> Fo
 
 
 def class_count(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> int:
-    return class_set(disc, mode).count
+    """The number of classes of ``class_set(disc, mode)``, without building it for f > 1.
+
+    For a conductor f > 1 the count comes from the field's by the order class
+    number formula h(O) = h(O_K) * psi(f) / [O_K^x : O^x], with
+    psi(f) = f * prod_{p | f} (1 - (D0/p)/p) (Cox, Primes of the Form
+    x^2 + ny^2, Thm. 7.24).  In PROPER mode (narrow classes) the units are
+    those of norm +1; in IMPROPER mode, all of them.
+    """
+    od = disc if isinstance(disc, OrderDisc) else disc_from_int(int(disc))
+    if od.f == 1:
+        return class_set(od, mode).count
+    field = class_set(OrderDisc(od.D0, od.D0, 1), mode)
+    psi = od.f
+    for p, _ in factor(od.f):
+        psi = psi // p * (p - kronecker_prime(od.D0, p))
+    index = _unit_index(od, mode, psi, len(field.class_of))
+    h, rest = divmod(field.count * psi, index)
+    if rest:
+        raise SolgenusError(f"unit index {index} does not divide h * psi = {field.count * psi} for disc {od.D}")
+    return h
+
+
+def _mod(m: IntMat2, f: int) -> IntMat2:
+    return IntMat2(m.a % f, m.b % f, m.c % f, m.d % f)
+
+
+def _scalar_power(m: IntMat2, k: int, f: int) -> bool:
+    """Whether m^k is a scalar matrix mod f (square-and-multiply mod f)."""
+    out = IntMat2.identity()
+    while k:
+        if k & 1:
+            out = _mod(out * m, f)
+        m = _mod(m * m, f)
+        k >>= 1
+    return not (out.b % f or out.c % f or (out.a - out.d) % f)
+
+
+def _unit_index(od: OrderDisc, mode: EquivMode, psi: int, cap: int) -> int:
+    """[O_K^x : O^x] for the order od of conductor f > 1; psi = psi(f), which it divides.
+
+    For D0 > 0 the automorph M of the reduced principal form of D0, read off
+    its rho cycle (of at most ``cap`` forms), is multiplication by the
+    fundamental unit under ``mode``: det 1 in PROPER mode, and det -1 in
+    IMPROPER mode when the cycle meets the opposite of its start first.  A
+    unit lies in O = Z + f*O_K exactly when its matrix is scalar mod f, so the
+    index is the order of M modulo scalars mod f.
+    """
+    D0, f = od.D0, od.f
+    if D0 < 0:
+        return {-3: 3, -4: 2}.get(D0, 1)
+    start = _reduce_indefinite((1, D0 % 2, (D0 % 2 - D0) // 4), D0)[0]
+    cycle = _cycle_raw(start, D0, cap) + [start]
+    flip = mode is EquivMode.IMPROPER and _opposite(start) in cycle
+    end = cycle.index(_opposite(start)) if flip else len(cycle) - 1
+    m = IntMat2.identity()
+    for g, h in zip(cycle[:end], cycle[1 : end + 1]):
+        m = _mod(m * _rho_matrix(g, h), f)
+    if flip:
+        m = _mod(m * _FLIP, f)
+    if not _scalar_power(m, psi, f):
+        raise SolgenusError(f"the automorph of disc {D0} has no order dividing {psi} modulo scalars mod {f}")
+    n = psi
+    for p, _ in factor(psi):
+        while n % p == 0 and _scalar_power(m, n // p, f):
+            n //= p
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,10 @@ from .orders import OrderDisc, order_disc
 # keeps h <= 100.
 MAX_FULL_PAIRS = 5000
 
-# largest trace bound that survey_rows accepts.  Every class set stays cached,
-# so memory grows as tmax^2 and time faster: a fresh `survey` process took
-# 2.2 s and 139 MB at tmax 1,000 and 9.0 s and 525 MB at 2,000 (2-core x86-64
-# VM), so 3,000 would need about 1.2 GB.
+# largest trace bound that survey_rows accepts.  Every field's class set stays
+# cached, so memory grows as tmax^2 and time faster: a fresh `survey` process
+# took 1.4 s and 91 MB at tmax 1,000 and 5.2 s and 324 MB at 2,000 (2-core
+# x86-64 VM), so 3,000 would need about 730 MB.
 MAX_SURVEY_TMAX = 2000
 
 
@@ -75,7 +75,12 @@ class Evidence:
 
 @dataclass(frozen=True)
 class GenusCount:
-    """The class numbers that decide the genus, and the genus they give."""
+    """The class numbers that decide the genus, and the genus they give.
+
+    h_field is the class number of Q(lam).  h_order, that of Z[lam], comes
+    from h_field by the order class number formula (``forms.class_count``);
+    :func:`genus` checks it against the representatives it enumerates.
+    """
 
     char: CharPoly
     geometry: GeometryLabel
@@ -100,7 +105,11 @@ class GenusCount:
 
 
 def _class_numbers(od: OrderDisc | None) -> tuple[int, int]:
-    """(h_field, h_order) for the order od; the field Q of rational eigenvalues has (1, 1)."""
+    """(h_field, h_order) for the order od; the field Q of rational eigenvalues has (1, 1).
+
+    Only the field's class set is built: for conductor f > 1 h_order comes from
+    the order class number formula.
+    """
     if od is None:
         return 1, 1
     return class_count(od.D0, EquivMode.IMPROPER), class_count(od, EquivMode.IMPROPER)
@@ -210,6 +219,11 @@ def genus(m: IntMat2, evidence_level: str = "fast") -> GenusReport:
         od = order_disc(p) if p.disc < 0 else None
         canon = canonical(m)
     h_field, h_order = _class_numbers(od)
+    if reps is not None and reps.count != h_order:
+        # the enumeration of D and the class number formula are independent
+        raise SolgenusError(
+            f"{reps.count} representatives for disc {od.D}, but the class number formula gives {h_order}"
+        )
     return GenusReport(
         char=p,
         geometry=geometry(m),
@@ -242,9 +256,12 @@ def survey_rows(tmax: int, det: str = "both") -> list[GenusCount]:
     These are exactly the Sol cells; cells with degenerate or complex spectrum
     are skipped because the genus data there does not depend on (t, n) alone.
     Each row is the :class:`GenusCount` that :func:`genus` gives the cell's
-    companion matrix, without building the representatives.  A tmax above
+    companion matrix, without building the representatives, so only the
+    class sets of the fields are built.  A negative tmax or one above
     MAX_SURVEY_TMAX raises SolgenusError before the first class set is built.
     """
+    if tmax < 0:
+        raise SolgenusError(f"survey tmax {tmax} is negative")
     if tmax > MAX_SURVEY_TMAX:
         raise SolgenusError(f"survey tmax {tmax} is above {MAX_SURVEY_TMAX}")
     dets = {"both": (-1, 1), "1": (1,), "-1": (-1,)}[det]

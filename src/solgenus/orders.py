@@ -63,6 +63,14 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
+def kronecker_prime(D: int, p: int) -> int:
+    """The Kronecker symbol (D/p) of a discriminant D (0 or 1 mod 4) at a prime p."""
+    if p == 2:
+        return 0 if D % 2 == 0 else (1 if D % 8 == 1 else -1)
+    r = pow(D, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
 def factor(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] of n >= 1, p increasing.
 

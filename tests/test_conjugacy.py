@@ -551,7 +551,8 @@ def test_mod_m_examples():
     assert w is not None
 
     assert are_conjugate_mod_m(mat(0, -1, 1, 3), mat(0, -1, 1, 4), 5) is None
-    with pytest.raises(ValueError):
+    # the same exception type as ModularWitness(1, ...)
+    with pytest.raises(SolgenusError, match="modulus must be at least 2"):
         are_conjugate_mod_m(a, a, 1)
 
 

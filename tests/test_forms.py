@@ -211,6 +211,31 @@ def test_class_count_long_cycles():
     assert class_count(40_000_000_017, EquivMode.IMPROPER) == 1
 
 
+def test_class_count_formula_matches_enumeration():
+    # h(D0) * psi(f) / unit index against the enumeration of D itself, for
+    # every conductor f > 1 with |D| <= 10,000, both signs and both modes
+    from solgenus.orders import disc_from_int
+
+    orders = [od for D in _valid_discriminants(-10_000, 10_000) if (od := disc_from_int(D)).f > 1]
+    assert len(orders) == 3_814 and sum(od.D < 0 for od in orders) == 1_957
+    assert {-3, -4, 5, 8, 12} <= {od.D0 for od in orders}
+    for od in orders:
+        for mode in EquivMode:
+            assert class_count(od, mode) == len(class_set(od, mode).reps), (od, mode)
+
+
+def test_class_count_formula_failures_raise(monkeypatch):
+    # an automorph with no order dividing psi(f), and an index that does not
+    # divide h * psi(f): D = 45 = 3^2 * 5 has h(5) = 1 and psi(3) = 4
+    monkeypatch.setattr(forms, "_scalar_power", lambda m, k, f: False)
+    with pytest.raises(SolgenusError, match="no order dividing 4 modulo scalars mod 3"):
+        class_count(45, EquivMode.PROPER)
+    monkeypatch.undo()
+    monkeypatch.setattr(forms, "_unit_index", lambda od, mode, psi, cap: 3)
+    with pytest.raises(SolgenusError, match="unit index 3 does not divide h \\* psi = 4"):
+        class_count(45)
+
+
 def test_cycle_cap_raises_domain_error():
     f = _reduced_forms(40)[0]
     assert len(_cycle_raw(f, 40, 6)) == 6

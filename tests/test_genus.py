@@ -306,16 +306,72 @@ def test_full_evidence_pair_limit(monkeypatch, capsys):
     assert len(genus(m, "fast").evidence.keys) == 4
 
 
-def test_survey_builds_each_class_set_once():
+def test_survey_builds_each_class_set_once(monkeypatch):
     # D = t^2 - 4n is even in t, so the rows for +t reuse the class sets that
-    # the rows for -t built; a bounded cache would build them again
+    # the rows for -t built; a bounded cache would build them again.  h_order
+    # of a conductor f > 1 comes from the field's class set, so only the
+    # fields' class sets are built
+    from solgenus import forms
     from solgenus.forms import _class_set_cached
     from solgenus.genus import survey_rows
+    from solgenus.orders import disc_from_int
 
+    built = []
+    original = forms._reduced_forms
+
+    def recorded(D):
+        built.append(D)
+        return original(D)
+
+    monkeypatch.setattr(forms, "_reduced_forms", recorded)
     _class_set_cached.cache_clear()
     rows = survey_rows(60)
-    discs = {r.disc.D for r in rows} | {r.disc.D0 for r in rows}
-    assert _class_set_cached.cache_info().misses == len(discs)
+    fields = {r.disc.D0 for r in rows}
+    assert any(r.disc.f > 1 for r in rows)
+    assert _class_set_cached.cache_info().misses == len(fields)
+    assert sorted(built) == sorted(fields) and all(disc_from_int(D).f == 1 for D in built)
+    _class_set_cached.cache_clear()
+
+
+def test_survey_negative_tmax_refused(capsys):
+    from solgenus import SolgenusError
+    from solgenus.cli import main
+    from solgenus.genus import survey_rows
+
+    with pytest.raises(SolgenusError, match="survey tmax -1 is negative"):
+        survey_rows(-1)
+    assert main(["survey", "--tmax", "-5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: survey tmax -5 is negative\n"
+    # tmax 0 has no Sol cell: an empty survey, not an error
+    assert survey_rows(0) == []
+
+
+def test_genus_checks_h_order_against_representatives(monkeypatch, capsys):
+    # the enumeration of D and the class number formula are two computations
+    # of h_order: a formula that is off by one is caught in every report
+    import importlib
+
+    from solgenus import SolgenusError
+    from solgenus.cli import main
+
+    module = importlib.import_module("solgenus.genus")
+    original = module.class_count
+    m = companion(CharPoly(12, -1))  # D = 148 = 2^2 * 37
+    r = genus(m, "none")
+    assert r.disc.f == 2 and r.h_order == 3
+
+    def off_by_one(disc, *mode):
+        h = original(disc, *mode)
+        return h + 1 if getattr(disc, "f", 1) > 1 else h
+
+    monkeypatch.setattr(module, "class_count", off_by_one)
+    for level in ("none", "fast"):
+        with pytest.raises(SolgenusError, match="3 representatives for disc 148, but the class number formula gives 4"):
+            genus(m, level)
+    assert main(["genus", "0 1; 1 12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: 3 representatives") and err.count("\n") == 1
 
 
 def test_survey_tmax_above_limit_refused_before_class_sets(capsys, monkeypatch):
