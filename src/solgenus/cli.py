@@ -38,18 +38,12 @@ def _write_json(obj, parts: list[str], nl: str | None) -> None:
     """Append the JSON text of obj to parts, byte for byte as json.dumps writes it.
 
     nl is the newline and indent of obj's line in the indent=2 form, or None
-    for the one-line form.  obj is a dict with str keys, a list, a tuple, an
-    int, a str, a bool or None, nested.  Integers with |n| > 2^53 - 1 are
-    written as decimal strings.
+    for the one-line form.  obj is a dict with str keys, a list, a tuple or a
+    _KeyPairs, whose values are these or an int, a str, a bool or None,
+    nested.  Integers with |n| > 2^53 - 1 are written as decimal strings.
     """
     t = type(obj)
-    if t is str:
-        parts.append(_escape(obj))
-    elif t is int:
-        parts.append(str(obj) if -_BIG <= obj <= _BIG else f'"{obj}"')
-    elif obj is None or t is bool:
-        parts.append(_CONSTANTS[obj])
-    elif t is _KeyPairs:
+    if t is _KeyPairs:
         _write_key_pairs(obj.h, parts, nl)
     elif t is dict or t is list or t is tuple:
         opening, closing = "{}" if t is dict else "[]"
@@ -60,14 +54,16 @@ def _write_json(obj, parts: list[str], nl: str | None) -> None:
         inner = None if nl is None else nl + "  "
         sep = ", " if inner is None else "," + inner
         lead = opening if inner is None else opening + inner
-        # ints, bools and None are written in place: most values of a report
-        # are, and a call per value took as long as the rest of the writer
+        # scalars are written in place: most values of a report are, and a
+        # call per value took as long as the rest of the writer
         for key, value in obj.items() if t is dict else ((None, value) for value in obj):
             if t is dict:
                 lead += _escape(key) + ": "  # TypeError for a key that is not a str
             tv = type(value)
-            if tv is int and -_BIG <= value <= _BIG:
-                append(lead + str(value))
+            if tv is int:
+                append(lead + (str(value) if -_BIG <= value <= _BIG else f'"{value}"'))
+            elif tv is str:
+                append(lead + _escape(value))
             elif value is None or tv is bool:
                 append(lead + _CONSTANTS[value])
             else:
@@ -124,32 +120,30 @@ def _compact(value) -> str:
     return str(value)
 
 
-def _color_enabled() -> bool:
-    return bool(os.environ.get("SOLGENUS_COLOR"))
-
-
 def render_table(report: dict) -> str:
     width = max(len(k) for k in report)
     lines = []
     for k, v in report.items():
         val = _compact(v)
-        if _color_enabled() and k in ("genus", "rigid"):
+        if os.environ.get("SOLGENUS_COLOR") and k in ("genus", "rigid"):
             val = f"\x1b[32m{val}\x1b[0m"
         lines.append(f"{k:<{width}}  {val}")
     return "\n".join(lines) + "\n"
 
 
-def render_rows_csv(rows: list[dict], fields: list[str]) -> str:
+def render_rows_csv(rows: list[list], fields: list[str]) -> str:
+    """CSV text of rows whose values are in the order of fields."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
-        writer.writerow([_compact(row[f]) for f in fields])
+        writer.writerow(map(_compact, row))
     return buf.getvalue()
 
 
-def render_rows_table(rows: list[dict], fields: list[str]) -> str:
-    cells = [[_compact(r[f]) for f in fields] for r in rows]
+def render_rows_table(rows: list[list], fields: list[str]) -> str:
+    """Aligned text table of rows whose values are in the order of fields."""
+    cells = [list(map(_compact, r)) for r in rows]
     widths = [max(len(f), *(len(c[i]) for c in cells)) if cells else len(f) for i, f in enumerate(fields)]
     out = ["  ".join(f"{f:<{w}}" for f, w in zip(fields, widths))]
     for c in cells:
@@ -298,7 +292,7 @@ def _cmd_conj_mod(args) -> str:
 
 def _cmd_classnumber(args) -> str:
     od = disc_from_int(args.D)
-    mode = EquivMode.PROPER if args.mode == "proper" else EquivMode.IMPROPER
+    mode = EquivMode(args.mode)
     cs = class_set(od, mode)
     report = {
         "D": od.D,
@@ -340,26 +334,15 @@ SURVEY_FIELDS = ["t", "n", "D", "D0", "f", "geometry", "branch", "h_field", "h_o
 
 def _cmd_survey(args) -> str:
     rows = [
-        {
-            "t": r.char.t,
-            "n": r.char.n,
-            "D": r.disc.D,
-            "D0": r.disc.D0,
-            "f": r.disc.f,
-            "geometry": r.geometry.value,
-            "branch": r.branch.value,
-            "h_field": r.h_field,
-            "h_order": r.h_order,
-            "genus": r.genus,
-            "rigid": r.rigid,
-        }
+        [r.char.t, r.char.n, r.disc.D, r.disc.D0, r.disc.f, r.geometry.value, r.branch.value,
+         r.h_field, r.h_order, r.genus, r.rigid]
         for r in survey_rows(args.tmax, args.det)
     ]
     if args.format == "csv":
         return render_rows_csv(rows, SURVEY_FIELDS)
     if args.format == "table":
         return render_rows_table(rows, SURVEY_FIELDS)
-    return render_json({"tmax": args.tmax, "det": args.det, "rows": rows})
+    return render_json({"tmax": args.tmax, "det": args.det, "rows": [dict(zip(SURVEY_FIELDS, r)) for r in rows]})
 
 
 # ---------------------------------------------------------------------------

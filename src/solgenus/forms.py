@@ -86,6 +86,12 @@ def _apply(f: tuple[int, int, int], u: IntMat2) -> tuple[int, int, int]:
     )
 
 
+def principal_form(D: int) -> BQForm:
+    """The form (1, b0, c0) with b0 = D mod 2, representing the order itself."""
+    b0 = D % 2
+    return BQForm(1, b0, (b0 * b0 - D) // 4)
+
+
 def _opposite(f: tuple[int, int, int]) -> tuple[int, int, int]:
     """Image under any det -1 element of the twisted action, e.g. -q(x, -y)."""
     a, b, c = f
@@ -374,19 +380,10 @@ def class_count(disc: OrderDisc | int, mode: EquivMode = EquivMode.IMPROPER) -> 
     return h
 
 
-def _mod(m: IntMat2, f: int) -> IntMat2:
-    return IntMat2(m.a % f, m.b % f, m.c % f, m.d % f)
-
-
 def _scalar_power(m: IntMat2, k: int, f: int) -> bool:
-    """Whether m^k is a scalar matrix mod f (square-and-multiply mod f)."""
-    out = IntMat2.identity()
-    while k:
-        if k & 1:
-            out = _mod(out * m, f)
-        m = _mod(m * m, f)
-        k >>= 1
-    return not (out.b % f or out.c % f or (out.a - out.d) % f)
+    """Whether m^k is a scalar matrix mod f."""
+    out = pow(m, k, f)
+    return not (out.b or out.c or out.a != out.d)
 
 
 def _unit_index(od: OrderDisc, mode: EquivMode, psi: int, cap: int) -> int:
@@ -402,15 +399,15 @@ def _unit_index(od: OrderDisc, mode: EquivMode, psi: int, cap: int) -> int:
     D0, f = od.D0, od.f
     if D0 < 0:
         return {-3: 3, -4: 2}.get(D0, 1)
-    start = _reduce_indefinite((1, D0 % 2, (D0 % 2 - D0) // 4), D0)[0]
+    start = _reduce_indefinite(principal_form(D0).triple(), D0)[0]
     cycle = _cycle_raw(start, D0, cap) + [start]
     flip = mode is EquivMode.IMPROPER and _opposite(start) in cycle
     end = cycle.index(_opposite(start)) if flip else len(cycle) - 1
     m = IntMat2.identity()
     for g, h in zip(cycle[:end], cycle[1 : end + 1]):
-        m = _mod(m * _rho_matrix(g, h), f)
+        m = m * _rho_matrix(g, h) % f
     if flip:
-        m = _mod(m * _FLIP, f)
+        m = m * _FLIP % f
     if not _scalar_power(m, psi, f):
         raise SolgenusError(f"the automorph of disc {D0} has no order dividing {psi} modulo scalars mod {f}")
     n = psi

@@ -27,7 +27,7 @@ from .conjugacy import (
     modular_table,
 )
 from .errors import SolgenusError
-from .forms import EquivMode, class_count, class_set
+from .forms import class_count, class_set
 from .ideals import LMSet, companion, lm_representatives
 from .matrices import CharPoly, GeometryLabel, IntMat2, char_poly, geometry, is_square
 from .orders import OrderDisc, order_disc
@@ -112,7 +112,7 @@ def _class_numbers(od: OrderDisc | None) -> tuple[int, int]:
     """
     if od is None:
         return 1, 1
-    return class_count(od.D0, EquivMode.IMPROPER), class_count(od, EquivMode.IMPROPER)
+    return class_count(od.D0), class_count(od)
 
 
 @dataclass(frozen=True)
@@ -271,5 +271,4 @@ def survey_rows(tmax: int, det: str = "both") -> list[GenusCount]:
         for n in dets
         if (d := t * t - 4 * n) > 0 and not is_square(d)
     ]
-    cells.sort()
     return [_survey_cell(t, n) for t, n in cells]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SolgenusError
-from .forms import BQForm, EquivMode, class_set
+from .forms import BQForm, EquivMode, class_set, principal_form
 from .matrices import CharPoly, IntMat2
 from .orders import OrderDisc, order_disc
 
@@ -52,12 +52,6 @@ class LMSet:
     @property
     def count(self) -> int:
         return len(self.reps)
-
-
-def principal_form(D: int) -> BQForm:
-    """The form (1, b0, c0) with b0 = D mod 2, representing the order itself."""
-    b0 = D % 2
-    return BQForm(1, b0, (b0 * b0 - D) // 4)
 
 
 def lm_representatives(p: CharPoly) -> LMSet:

@@ -42,17 +42,21 @@ class IntMat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __pow__(self, k: int) -> "IntMat2":
+    def __mod__(self, m: int) -> "IntMat2":
+        return IntMat2(self.a % m, self.b % m, self.c % m, self.d % m)
+
+    def __pow__(self, k: int, m: int | None = None) -> "IntMat2":
+        """self^k; pow(self, k, m) reduces every entry into [0, m), as pow does for ints."""
         if k < 0:
-            return self.inverse() ** (-k)
+            return pow(self.inverse(), -k, m)
         out = IntMat2.identity()
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = out * base if m is None else out * base % m
+            base = base * base if m is None else base * base % m
             k >>= 1
-        return out
+        return out if m is None else out % m
 
     def inverse(self) -> "IntMat2":
         """Exact inverse; only defined on GL2(Z), where the adjugate is integral."""
@@ -184,6 +188,8 @@ def parse_matrix(text: str) -> IntMat2:
             data = json.loads(stripped)
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON matrix: {e.msg}", offset + e.pos) from None
+        except RecursionError:
+            raise ParseError("JSON matrix is nested too deeply", offset) from None
         if (
             not isinstance(data, list)
             or len(data) != 2

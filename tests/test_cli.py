@@ -211,6 +211,13 @@ def test_parse_error_exit_one(capsys):
     assert code == 1 and "error" in err
 
 
+def test_deeply_nested_json_matrix_exit_one(capsys):
+    # json.loads raises RecursionError, not JSONDecodeError, on nesting this deep
+    code, out, err = run_cli(capsys, "classify", "[" * 100_000)
+    assert (code, out) == (1, "")
+    assert err == "error: JSON matrix is nested too deeply (at position 0)\n"
+
+
 def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["no-such-command"])

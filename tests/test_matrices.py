@@ -139,6 +139,18 @@ def test_power_negative_exponent():
     assert m**0 == IntMat2.identity()
 
 
+@given(small_mats, st.integers(0, 64), st.integers(1, 60))
+def test_power_mod_is_reduced_product(m, k, f):
+    # pow(m, k, f) is the k-fold product with every entry reduced into
+    # [0, f), as pow does for ints, also at k = 0 and f = 1
+    product = IntMat2.identity()
+    for _ in range(k):
+        product = product * m
+    expected = IntMat2(product.a % f, product.b % f, product.c % f, product.d % f)
+    assert pow(m, k, f) == expected == m**k % f
+    assert all(0 <= x < f for x in (expected.a, expected.b, expected.c, expected.d))
+
+
 def test_geometry_examples():
     assert geometry(mat(2, 1, 1, 1)) == GeometryLabel.SOL
     assert geometry(mat(1, 0, 5, 1)) == GeometryLabel.NIL
